@@ -29,7 +29,8 @@ go vet ./...
 
 echo "==> go test -cover ./..."
 coverprofile=$(mktemp -t parallax-cover.XXXXXX)
-trap 'rm -f "$coverprofile"' EXIT
+tbrecord=$(mktemp -t parallax-bench-tb.XXXXXX)
+trap 'rm -f "$coverprofile" "$tbrecord"' EXIT
 go test -coverprofile="$coverprofile" ./...
 total=$(go tool cover -func="$coverprofile" | awk '/^total:/ {gsub(/%/,"",$3); print $3}')
 echo "    total statement coverage: ${total}% (baseline ${COVERAGE_BASELINE}%)"
@@ -81,9 +82,11 @@ fi
 
 # Shared-catalog race smoke: the catalog's concurrent adopt/install
 # paths across 4 campaign workers (plus the SMC and reload variants)
-# under the detector.
+# under the detector, and the fork-point differentials: workers
+# resuming mutants from the shared clean-run recording, each mutant
+# held to the clone+reload full replay.
 echo "==> shared-catalog smoke (-race)"
-go test -race -run 'TestDifferentialEngines|TestCatalog' \
+go test -race -run 'TestDifferentialEngines|TestCatalog|TestFork' \
     ./internal/campaign ./internal/emu/tb
 
 # Corpus-at-scale smoke: a trimmed generated-family sweep (8 programs,
@@ -141,12 +144,13 @@ echo "==> differential oracle: three-way lockstep gate (generated batch + corpus
 go test -run 'TestLockstep' ./internal/difftest
 
 # Engine-throughput record: solo interp/ref/tb insts/s over the full
-# corpus plus a three-way lockstep replay, written to BENCH_tb.json.
-# The divergence column is the hard gate (the experiment exits
-# non-zero on any divergence); the rates are informational because
-# wall-clock varies by host.
-echo "==> engine benchmark: difftest experiment (BENCH_tb.json)"
-go run ./cmd/parallax-bench -experiment difftest -progs wget,nginx,bzip2,gzip,gcc,lame
+# corpus plus a three-way lockstep replay. The divergence column is
+# the hard gate (the experiment exits non-zero on any divergence); the
+# rates are informational because wall-clock varies by host, so the
+# record goes to a temporary file and the checked-in BENCH_tb.json is
+# only rewritten by a deliberate run without -tb-out.
+echo "==> engine benchmark: difftest experiment"
+go run ./cmd/parallax-bench -experiment difftest -progs wget,nginx,bzip2,gzip,gcc,lame -tb-out "$tbrecord"
 
 if [[ "$FUZZTIME" != "0" ]]; then
     # FuzzLockstep replays every seed and mutation through the same

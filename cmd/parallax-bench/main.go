@@ -69,6 +69,7 @@ type benchFlags struct {
 	families string
 	jobs     int
 	unique   int
+	tbOut    string
 	// mutantsSet records whether -mutants was given explicitly; the
 	// coldcover experiment has its own default (96 per campaign cell)
 	// distinct from campaign-engine's 512.
@@ -101,7 +102,7 @@ var registry = []experimentDef{
 	{"campaign", false, func(f benchFlags) error { return campaignExperiment(f.progs) }},
 	{"campaign-engine", false, func(f benchFlags) error { return campaignEngineExperiment(f.progs, f.mutants) }},
 	{"obs", false, func(f benchFlags) error { return obsExperiment(f.progs) }},
-	{"difftest", false, func(f benchFlags) error { return difftestExperiment(f.progs) }},
+	{"difftest", false, func(f benchFlags) error { return difftestExperiment(f.progs, f.tbOut) }},
 	{"corpus", false, func(f benchFlags) error { return corpusExperiment(f.n, f.engine) }},
 	{"coldcover", false, func(f benchFlags) error {
 		mutants := 0 // ColdCoverOptions default
@@ -133,14 +134,16 @@ func main() {
 	flag.IntVar(&f.mutants, "mutants", 512,
 		"mutant budget for -experiment campaign-engine and coldcover (coldcover default: 96)")
 	flag.IntVar(&f.n, "n", 105, "program budget for -experiment corpus")
-	flag.StringVar(&f.engine, "engine", "interp",
-		"campaign execution engine for -experiment corpus (interp|tb)")
+	flag.StringVar(&f.engine, "engine", "tb",
+		"campaign execution engine for -experiment corpus (tb|interp)")
 	flag.IntVar(&f.seeds, "seeds", 5, "seeds per family for -experiment coldcover")
 	flag.IntVar(&f.checkers, "checkers", 4, "composed checksum-network size for -experiment coldcover")
 	flag.StringVar(&f.families, "families", "",
 		"comma-separated generator families for -experiment coldcover (empty = default set)")
 	flag.IntVar(&f.jobs, "jobs", 256, "protect jobs per round for -experiment fanout")
 	flag.IntVar(&f.unique, "unique", 32, "unique modules for -experiment fanout")
+	flag.StringVar(&f.tbOut, "tb-out", "BENCH_tb.json",
+		"output path of -experiment difftest's engine-throughput record")
 	flag.Parse()
 	flag.Visit(func(fl *flag.Flag) {
 		if fl.Name == "mutants" {
@@ -686,7 +689,7 @@ func campaignEngineExperiment(progs string, mutants int) error {
 	return nil
 }
 
-func difftestExperiment(progs string) error {
+func difftestExperiment(progs, out string) error {
 	header("difftest — differential oracle engine throughput")
 	var names []string
 	for _, n := range strings.Split(progs, ",") {
@@ -708,7 +711,7 @@ func difftestExperiment(progs string) error {
 			return fmt.Errorf("difftest: %s diverged between engines", r.Program)
 		}
 	}
-	if err := writeBenchTB(rows); err != nil {
+	if err := writeBenchTB(rows, out); err != nil {
 		return err
 	}
 	fmt.Println("\nthe interpreter's lead over the SDM-pseudocode reference is the decode")
@@ -716,7 +719,7 @@ func difftestExperiment(progs string) error {
 	fmt.Println("block engine (translate once, chain blocks, materialize flags lazily).")
 	fmt.Println("Lockstep adds a full three-way state comparison per retired instruction.")
 	fmt.Println("Rates vary by host; the divergence column must read zero (ci.sh gates")
-	fmt.Println("on it). Machine-readable rates land in BENCH_tb.json.")
+	fmt.Printf("on it). Machine-readable rates land in %s.\n", out)
 	return nil
 }
 
@@ -988,11 +991,11 @@ func fanoutExperiment(jobs, unique int, workers string) error {
 	return nil
 }
 
-// writeBenchTB records the engine-throughput comparison in a
-// machine-readable file next to the working directory's other CI
-// artifacts: per-program insts/s for all three engines plus the
-// tb-over-interpreter speedup ratio.
-func writeBenchTB(rows []experiment.DifftestRow) error {
+// writeBenchTB records the engine-throughput comparison in the
+// machine-readable file at path (BENCH_tb.json by default): per-program
+// insts/s for all three engines plus the tb-over-interpreter speedup
+// ratio.
+func writeBenchTB(rows []experiment.DifftestRow, path string) error {
 	type rec struct {
 		Program     string  `json:"program"`
 		Insts       uint64  `json:"insts"`
@@ -1018,9 +1021,9 @@ func writeBenchTB(rows []experiment.DifftestRow) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_tb.json", append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Println("\nwrote BENCH_tb.json")
+	fmt.Printf("\nwrote %s\n", path)
 	return nil
 }

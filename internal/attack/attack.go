@@ -204,6 +204,14 @@ type RunConfig struct {
 	// (today: the stdin reader). The campaign passes the mutant index
 	// so the faulted cell set is scheduling-independent.
 	ChaosKey uint64
+	// Kernel, when non-nil, resumes the run's fresh kernel at a fork
+	// point's kernel state (see emu.OS.Resume) before execution; the
+	// caller has moved CPU to the same fork point with
+	// emu.CPU.ApplyFork. Stdin is still the whole workload, chaos
+	// wrapping included: the resume consumes the bytes the clean run
+	// had read, so a stdin fault before that offset ends the run with
+	// the error its read(2) would have raised.
+	Kernel *emu.KernelState
 }
 
 // Runner is an execution backend driving an already-configured CPU —
@@ -220,13 +228,8 @@ type Runner interface {
 func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 	cpu := cfg.CPU
 	if cpu == nil {
-		loaded, err := emu.LoadImageWith(img, emu.LoadConfig{
-			StackSize: cfg.StackSize,
-			MemBudget: cfg.MemBudget,
-			Chaos:     cfg.Chaos,
-		})
+		loaded, err := Load(img, cfg)
 		if err != nil {
-			cfg.Obs.Counter("emu.load_failures").Inc()
 			return RunResult{Err: err}
 		}
 		cpu = loaded
@@ -246,6 +249,10 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 	os.Stdin = cfg.Chaos.ReaderN(chaos.PointStdinRead, cfg.ChaosKey, os.Stdin, int64(len(cfg.Stdin)))
 	os.DebuggerAttached = cfg.DebuggerAttached
 	cpu.OS = os
+	var err error
+	if cfg.Kernel != nil {
+		err = os.Resume(*cfg.Kernel)
+	}
 	run := cpu.RunContext
 	switch {
 	case cfg.Exec != nil:
@@ -258,7 +265,9 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 		cfg.Obs.Counter("emu.load_failures").Inc()
 		return RunResult{Err: fmt.Errorf("attack: unknown engine %q (want interp or tb)", cfg.Engine)}
 	}
-	err := run(ctx)
+	if err == nil {
+		err = run(ctx)
+	}
 	recordRun(cfg.Obs, cpu, err)
 	return RunResult{
 		Status: cpu.Status,
@@ -267,6 +276,21 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 		Icount: cpu.Icount,
 		EIP:    cpu.EIP,
 	}
+}
+
+// Load maps img into a fresh emulator under cfg's budgets and chaos
+// plan, exactly as RunWith does when cfg.CPU is nil; a failure counts
+// in emu.load_failures.
+func Load(img *image.Image, cfg RunConfig) (*emu.CPU, error) {
+	cpu, err := emu.LoadImageWith(img, emu.LoadConfig{
+		StackSize: cfg.StackSize,
+		MemBudget: cfg.MemBudget,
+		Chaos:     cfg.Chaos,
+	})
+	if err != nil {
+		cfg.Obs.Counter("emu.load_failures").Inc()
+	}
+	return cpu, err
 }
 
 // recordRun accumulates one finished emulator run into the registry.

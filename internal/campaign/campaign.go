@@ -60,14 +60,16 @@ type Config struct {
 	Kinds []Kind
 	// Stdin is the workload fed to every run, clean and mutated.
 	Stdin []byte
-	// Reload forces the legacy execution path: a full image clone +
-	// emulator load per mutant. The zero value uses the snapshot/restore
-	// engine — each worker loads the image once and rewinds dirty pages
-	// between mutants — which is behaviorally identical (see the
-	// differential tests) and allocation-free per mutant; the wall-clock
-	// win scales with image size relative to workload length (see
-	// EXPERIMENTS.md). KindSerial mutants always take the loader path
-	// regardless.
+	// Reload selects the reference execution path: a full image clone
+	// + emulator load per mutant, every mutant replayed from the entry
+	// point. The zero value uses the snapshot/restore engine: each
+	// worker loads the image once and rewinds dirty pages between
+	// mutants, and each mutant resumes from the last fork point of the
+	// recorded clean run before it first touches a mutated byte (see
+	// fork.go). The differential tests hold it classification-identical
+	// to this path. KindSerial mutants always take the loader path;
+	// on the snapshot path those whose section layout and entry point
+	// match the base image resume from a fork point too.
 	Reload bool
 	// MemBudget / StackSize bound each mutant's emulator (0 =
 	// defaults).
@@ -106,6 +108,14 @@ type Config struct {
 	// other ~99% are adopted from whichever worker translated them
 	// first (see internal/emu/tb's catalog coherence story).
 	cat *tb.Catalog
+
+	// rec is the clean run's recording on the snapshot path: the fork
+	// points mutants resume from and the first-touch map that picks one
+	// (see fork.go). Run sets it from its reference run; executeAll
+	// records one when its caller ran the clean reference itself. A
+	// recording without fork points replays every mutant from the entry
+	// point.
+	rec *emu.Recording
 }
 
 func (cfg Config) withDefaults() Config {
@@ -179,12 +189,10 @@ func Run(ctx context.Context, prot *core.Protected, cfg Config) (*Report, error)
 		return nil, fmt.Errorf("campaign: nil protected image")
 	}
 
-	// Reference run: the clean image's observable behavior.
-	clean := attack.RunWith(ctx, prot.Image, attack.RunConfig{
-		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
-		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
-		Obs: cfg.Obs, Engine: cfg.Engine, Catalog: cfg.cat,
-	})
+	// Reference run: the clean image's observable behavior, recorded
+	// for fork-point scheduling on the snapshot path.
+	var clean attack.RunResult
+	clean, cfg.rec = reference(ctx, prot.Image, cfg)
 	if clean.Err != nil {
 		return nil, fmt.Errorf("campaign: clean reference run failed: %w", clean.Err)
 	}
@@ -246,6 +254,11 @@ func executeAll(ctx context.Context, prot *core.Protected, mutants []Mutant,
 		}
 	}
 	guard := guardedBytes(prot)
+	if !cfg.Reload && cfg.rec == nil {
+		rcfg := cfg
+		rcfg.Obs = nil // the caller's own clean run was the accounted one
+		_, cfg.rec = reference(ctx, prot.Image, rcfg)
+	}
 
 	classes := make([]Class, len(mutants))
 	for i, c := range done {
@@ -381,9 +394,11 @@ func recordOutcomes(reg *obs.Registry, rep *Report, classes []Class) {
 // runOne executes and classifies a single mutant. It never panics:
 // any harness panic is recovered, counted, and classified as a crash.
 // Non-serial mutants run on the worker's vmEngine when one is
-// available (restore dirty pages, poke the mutation, run); KindSerial
-// mutants always exercise the loader, and a nil engine falls back to
-// clone+reload.
+// available (restore dirty pages, apply the fork point before the
+// mutant's first touch, poke the mutation, run); KindSerial mutants
+// always exercise the loader, resuming from a fork point on the
+// snapshot path when their layout allows, and a nil engine falls back
+// to clone+reload.
 func runOne(ctx context.Context, base *image.Image, stream []byte,
 	guard map[uint32]bool, idx int, m Mutant, clean attack.RunResult,
 	cfg Config, eng *vmEngine, panics *uint64) (cls Class) {
@@ -433,6 +448,24 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 			return ClassLoaderReject
 		}
 		img = loaded
+		if fp, diffs := serialFork(cfg.rec, base, loaded); fp != nil {
+			// Load the mutant as a fresh run would, move it to the fork
+			// point, and put back the differing bytes the fork point's
+			// clean pages overwrote.
+			cpu, err := attack.Load(loaded, runCfg)
+			if err != nil {
+				if blownDeadline {
+					return ClassInfraError
+				}
+				return classify(m, attack.RunResult{Err: err}, clean, guard)
+			}
+			cpu.ApplyFork(fp)
+			for _, d := range diffs {
+				cpu.Mem.Poke(d.addr, []byte{d.b})
+			}
+			runCfg.CPU, runCfg.Kernel = cpu, &fp.Kernel
+			cfg.Obs.Counter("campaign.inherited_insts").Add(fp.Icount)
+		}
 	case eng != nil:
 		st := eng.cpu.Restore(eng.snap)
 		if reg := cfg.Obs; reg != nil {
@@ -449,10 +482,18 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 			eng.poisoned = true
 			return ClassInfraError
 		}
+		fp := cfg.rec.Before(cfg.rec.FirstTouch(m.Addr, uint32(m.Len)))
+		if fp != nil {
+			eng.cpu.ApplyFork(fp)
+		}
 		if err := m.applyVM(base, eng.cpu); err != nil {
 			// Unpatchable site: same rejection the clone path's
 			// image.WriteAt would produce, before execution.
 			return ClassLoaderReject
+		}
+		if fp != nil {
+			runCfg.Kernel = &fp.Kernel
+			cfg.Obs.Counter("campaign.inherited_insts").Add(fp.Icount)
 		}
 		mctx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()

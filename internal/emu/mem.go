@@ -121,6 +121,11 @@ type Memory struct {
 	// back — notifies each registered hook with the affected range.
 	onInval  []codeInvalHook
 	invalSeq uint64
+
+	// rec, when non-nil, is the Recording CPU.Record attached: check
+	// feeds it every data read and write, CPU.Step every fetch. Nil
+	// costs one check per access.
+	rec *Recording
 }
 
 // codeInvalHook is one registered code-invalidation callback.
@@ -254,6 +259,9 @@ func (m *Memory) check(addr uint32, n uint32, access Access, eip uint32) ([]byte
 			Reason: fmt.Sprintf("segment %s is %s", s.Name, s.Perm)}
 	}
 	off := addr - s.Addr
+	if m.rec != nil && access != AccessFetch {
+		m.rec.mark(addr, n, uint32(m.rec.cpu.Icount))
+	}
 	if access == AccessWrite {
 		// The caller is about to mutate the returned slice: record the
 		// touched pages for Restore and, when the segment is executable

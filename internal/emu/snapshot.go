@@ -68,19 +68,24 @@ func (c *CPU) Snapshot() *Snapshot {
 	}
 	s.segs = make([]segBaseline, 0, len(c.Mem.segs))
 	for _, seg := range c.Mem.segs {
-		pages := (uint32(len(seg.Data)) + PageSize - 1) / PageSize
-		words := (pages + 63) / 64
-		if seg.dirty == nil || uint32(len(seg.dirty)) != words {
-			seg.dirty = make([]uint64, words)
-		} else {
-			clear(seg.dirty)
-		}
+		seg.trackDirty()
 		s.segs = append(s.segs, segBaseline{
 			seg:      seg,
 			baseline: append([]byte(nil), seg.Data...),
 		})
 	}
 	return s
+}
+
+// trackDirty arms the segment's per-page write bitmap, cleared.
+func (seg *Segment) trackDirty() {
+	pages := (uint32(len(seg.Data)) + PageSize - 1) / PageSize
+	words := (pages + 63) / 64
+	if seg.dirty == nil || uint32(len(seg.dirty)) != words {
+		seg.dirty = make([]uint64, words)
+	} else {
+		clear(seg.dirty)
+	}
 }
 
 // Restore rewinds the CPU to the snapshot point: every dirty page is

@@ -97,6 +97,9 @@ type OS struct {
 	DebuggerAttached bool
 	traced           bool
 
+	// stdinOff counts the bytes read(2) has taken from Stdin.
+	stdinOff int64
+
 	// Now is returned by time(2). A fixed default keeps runs
 	// deterministic.
 	Now int32
@@ -120,6 +123,46 @@ func errno(e int32) uint32 { return uint32(-e) }
 // NewOS returns an OS with the given stdin contents.
 func NewOS(stdin []byte) *OS {
 	return &OS{Stdin: bytes.NewReader(stdin)}
+}
+
+// KernelState is the part of an OS that a run's history changed: what
+// a resumed run needs to continue one that stopped (see
+// ForkPoint.Kernel). Configuration (DebuggerAttached, Now, Pid) stays
+// with the kernel that resumes.
+type KernelState struct {
+	// StdinOff is how many bytes read(2) had taken from stdin.
+	StdinOff int64
+	// Stdout and Stderr are the output written so far.
+	Stdout, Stderr []byte
+	// RandState is the getrandom(2) stream state.
+	RandState uint32
+	// Traced records a successful ptrace(PTRACE_TRACEME).
+	Traced bool
+}
+
+// Resume moves a fresh kernel to st. It takes st.StdinOff bytes from
+// Stdin the way the read(2) calls that consumed them did, so any
+// non-EOF reader error on the way (an injected stdin fault among them)
+// is the error that would have aborted the run, returned the same way;
+// a stdin shorter than st.StdinOff is an error too.
+func (os *OS) Resume(st KernelState) error {
+	os.Stdout.Write(st.Stdout)
+	os.Stderr.Write(st.Stderr)
+	os.RandState = st.RandState
+	os.traced = st.Traced
+	var chunk [4096]byte
+	for os.stdinOff < st.StdinOff {
+		n, err := os.Stdin.Read(chunk[:min(int64(len(chunk)), st.StdinOff-os.stdinOff)])
+		os.stdinOff += int64(n)
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("emu: read(0): %w", err)
+		}
+		if n == 0 {
+			return fmt.Errorf("emu: read(0): stdin ends %d bytes before the resumed offset %d",
+				st.StdinOff-os.stdinOff, st.StdinOff)
+		}
+	}
+	return nil
 }
 
 func (os *OS) trace(format string, args ...any) {
@@ -188,6 +231,7 @@ func (os *OS) SyscallOn(sc SysCPU) error {
 				want = uint32(len(chunk))
 			}
 			n, err := os.Stdin.Read(chunk[:want])
+			os.stdinOff += int64(n)
 			for i := 0; i < n; i++ {
 				if serr := sc.MemStore8(a2+total+uint32(i), chunk[i]); serr != nil {
 					sc.SetReg(x86.EAX, errno(EFAULT))

@@ -32,8 +32,8 @@ type CorpusOptions struct {
 	// (0 = 105). Budgets >= 20 always include the 1.6 MiB and 4 MiB
 	// families so the sweep spans three size decades.
 	N int
-	// Engine is the campaign execution backend, "interp" (default) or
-	// "tb".
+	// Engine is the campaign execution backend, "tb" (default) or
+	// "interp"; the cross-engine check re-derives under the other.
 	Engine string
 	// Mutants caps each program's campaign (0 = 96).
 	Mutants int
@@ -52,7 +52,7 @@ func (o CorpusOptions) withDefaults() CorpusOptions {
 		o.N = 105
 	}
 	if o.Engine == "" {
-		o.Engine = "interp"
+		o.Engine = "tb"
 	}
 	if o.Mutants == 0 {
 		o.Mutants = 96

@@ -46,6 +46,14 @@ func TestCorpusPlan(t *testing.T) {
 	}
 }
 
+// The sweep runs the production engine unless told otherwise, like
+// every CLI; the cross-engine check re-derives under the interpreter.
+func TestCorpusDefaultEngine(t *testing.T) {
+	if got := (CorpusOptions{}).withDefaults().Engine; got != "tb" {
+		t.Errorf("default corpus engine %q, want tb", got)
+	}
+}
+
 func TestCorpusCampaignConfig(t *testing.T) {
 	cfg := corpusCampaignConfig(CorpusOptions{Mutants: 32}, 16*1024, 16)
 	if cfg.Stride < 7 || cfg.Stride%2 == 0 {
