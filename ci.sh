@@ -49,13 +49,17 @@ go test -race ./...
 # tail included) must resume to a byte-identical report. The -race
 # variant replays the injection paths and the journal's concurrent
 # appends under the detector on the compact synthetic target (the
-# corpus sweep is too slow under the detector; see raceEnabled).
+# corpus sweep is too slow under the detector; see raceEnabled). The
+# -race pass also reconciles the farm's registry against its per-job
+# results under chaos (TestFarmReconciliation) and replays the
+# incidental-read load-gadget regression at the gadget, compiler and
+# protect-then-run levels.
 echo "==> chaos smoke: seeded fault injection + checkpoint resume"
 go test -run 'TestChaosCampaignGraceful|TestCheckpoint' ./internal/campaign
 echo "==> chaos smoke (-race)"
 go test -race ./internal/chaos
-go test -race -run 'TestChaos|TestCheckpoint|TestRetryDeadline|TestTightDeadline' \
-    ./internal/campaign ./internal/farm ./internal/emu/tb
+go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestGenProtectedMatchesBaseline' \
+    ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen
 
 # Campaign-engine hard gate: run the same enumerated wget campaign
 # through all three execution configurations — interpreter

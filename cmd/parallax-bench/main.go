@@ -739,7 +739,7 @@ func corpusExperiment(n int, engine string) error {
 	full := n == 0 || n >= 100
 	rep, err := experiment.CorpusSweep(context.Background(), experiment.CorpusOptions{
 		N:      n,
-		Engine: engine,
+		Engine: emu.Engine(engine),
 		Progress: func(done, total int, name string) {
 			fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-24s", done, total, name)
 			if done == total {

@@ -55,7 +55,8 @@ func cmdBatch(args []string) error {
 	if *rounds < 1 {
 		return fmt.Errorf("%w: -rounds must be >= 1", errUsage)
 	}
-	if err := parseEngine(*engine); err != nil {
+	eng, err := parseEngine(*engine)
+	if err != nil {
 		return err
 	}
 	if *outDir != "" {
@@ -97,7 +98,7 @@ func cmdBatch(args []string) error {
 					ChainMode:   m,
 					Workload:    p.Stdin,
 					Obs:         reg,
-					Engine:      *engine,
+					Engine:      eng,
 				})
 				if err != nil {
 					return fmt.Errorf("submitting %s: %w", name, err)

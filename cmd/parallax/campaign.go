@@ -58,7 +58,8 @@ func cmdCampaign(args []string) error {
 	if *metricsFormat != "json" && *metricsFormat != "table" {
 		return usagef("bad -metrics-format %q (want json|table)", *metricsFormat)
 	}
-	if err := parseEngine(*engine); err != nil {
+	eng, err := parseEngine(*engine)
+	if err != nil {
 		return err
 	}
 
@@ -115,7 +116,7 @@ func cmdCampaign(args []string) error {
 		Stdin:      stdin,
 		Obs:        reg,
 		Reload:     !*reuseVM,
-		Engine:     *engine,
+		Engine:     eng,
 		Chaos:      inj,
 		Checkpoint: *checkpoint,
 	})

@@ -3,12 +3,9 @@ package main
 import (
 	"flag"
 	"strings"
-)
 
-// engineNames is the single registry of execution backends a -engine
-// flag accepts, in usage-string order. Adding a backend here updates
-// every command's flag help and validation at once.
-var engineNames = []string{"interp", "tb"}
+	"parallax/internal/emu"
+)
 
 // defaultEngine is the backend every command runs when -engine is not
 // given. The translation-block engine is the default: it is
@@ -16,22 +13,29 @@ var engineNames = []string{"interp", "tb"}
 // byte-identical campaign detection matrices (ci.sh gates on that),
 // and its shared translation catalog makes MiB-scale campaigns
 // severalfold faster (EXPERIMENTS.md).
-const defaultEngine = "tb"
+const defaultEngine = emu.TB
 
 // engineFlag registers the -engine flag on fs with the shared default
-// and a usage string derived from the registry. context describes what
+// and a usage string derived from emu.Engines. context describes what
 // the engine is used for in this command (e.g. "mutant execution").
 func engineFlag(fs *flag.FlagSet, context string) *string {
-	return fs.String("engine", defaultEngine,
-		context+" backend: "+strings.Join(engineNames, "|"))
+	return fs.String("engine", string(defaultEngine),
+		context+" backend: "+engineUsage())
 }
 
-// parseEngine validates a parsed -engine value against the registry.
-func parseEngine(v string) error {
-	for _, n := range engineNames {
-		if v == n {
-			return nil
-		}
+func engineUsage() string {
+	names := make([]string, len(emu.Engines))
+	for i, e := range emu.Engines {
+		names[i] = string(e)
 	}
-	return usagef("bad -engine %q (want %s)", v, strings.Join(engineNames, "|"))
+	return strings.Join(names, "|")
+}
+
+// parseEngine validates a parsed -engine value.
+func parseEngine(v string) (emu.Engine, error) {
+	e := emu.Engine(v)
+	if e.Validate() != nil {
+		return "", usagef("bad -engine %q (want %s)", v, engineUsage())
+	}
+	return e, nil
 }

@@ -40,7 +40,8 @@ func cmdTrace(args []string) error {
 	if *metricsFormat != "json" && *metricsFormat != "table" {
 		return usagef("bad -metrics-format %q (want json|table)", *metricsFormat)
 	}
-	if err := parseEngine(*engine); err != nil {
+	eng, err := parseEngine(*engine)
+	if err != nil {
 		return err
 	}
 
@@ -115,7 +116,7 @@ func cmdTrace(args []string) error {
 		Obs:        reg,
 		Trace:      sink,
 		TraceEvery: *every,
-		Engine:     *engine,
+		Engine:     eng,
 	})
 
 	if *asJSON {

@@ -179,11 +179,11 @@ type RunConfig struct {
 	// between runs); RunWith still installs a fresh kernel and applies
 	// the budgets above on every call. The image argument is ignored.
 	CPU *emu.CPU
-	// Engine selects the execution backend: "" or "interp" is the
-	// interpreter, "tb" the translation-block engine (internal/emu/tb).
-	// Any other value fails the run.
-	Engine string
-	// Catalog, when non-nil and Engine is "tb", attaches the shared
+	// Engine selects the execution backend: "" or emu.Interp is the
+	// interpreter, emu.TB the translation-block engine
+	// (internal/emu/tb). Any other value fails the run.
+	Engine emu.Engine
+	// Catalog, when non-nil and Engine is emu.TB, attaches the shared
 	// translation catalog to the run's engine: translations of
 	// identical code bytes are adopted from (and published for) every
 	// other run sharing the catalog. Ignored when Exec drives the run —
@@ -257,13 +257,15 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 	switch {
 	case cfg.Exec != nil:
 		run = cfg.Exec.RunContext
-	case cfg.Engine == "tb":
+	case cfg.Engine == emu.TB:
 		eng := tb.NewWithCatalog(cpu, cfg.Obs, cfg.Catalog)
 		defer eng.Close()
 		run = eng.RunContext
-	case cfg.Engine != "" && cfg.Engine != "interp":
-		cfg.Obs.Counter("emu.load_failures").Inc()
-		return RunResult{Err: fmt.Errorf("attack: unknown engine %q (want interp or tb)", cfg.Engine)}
+	default:
+		if verr := cfg.Engine.Validate(); verr != nil {
+			cfg.Obs.Counter("emu.load_failures").Inc()
+			return RunResult{Err: fmt.Errorf("attack: %w", verr)}
+		}
 	}
 	if err == nil {
 		err = run(ctx)

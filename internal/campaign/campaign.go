@@ -76,12 +76,12 @@ type Config struct {
 	MemBudget uint64
 	StackSize uint32
 	// Engine selects the execution backend for every run, clean and
-	// mutated: "" or "interp" is the interpreter, "tb" the
+	// mutated: "" or emu.Interp is the interpreter, emu.TB the
 	// translation-block engine. On the snapshot/restore path each
 	// worker keeps one persistent tb engine, so translations of the
 	// unmutated pages stay warm across mutants (Restore's page
 	// copy-back invalidates exactly the translations a mutant dirtied).
-	Engine string
+	Engine emu.Engine
 	// Obs, when non-nil, accumulates campaign activity into a shared
 	// metrics registry: per-class outcome counters
 	// (campaign.outcome.<class>), campaign.mutants, campaign.panics,
@@ -137,7 +137,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Kinds == nil {
 		cfg.Kinds = AllKinds()
 	}
-	if cfg.Engine == "tb" && cfg.cat == nil {
+	if cfg.Engine == emu.TB && cfg.cat == nil {
 		cfg.cat = tb.NewCatalog()
 	}
 	return cfg
@@ -361,7 +361,7 @@ func newVMEngine(base *image.Image, cfg Config) *vmEngine {
 		return nil
 	}
 	eng := &vmEngine{cpu: cpu, snap: cpu.Snapshot()}
-	if cfg.Engine == "tb" {
+	if cfg.Engine == emu.TB {
 		eng.tbe = tb.NewWithCatalog(cpu, cfg.Obs, cfg.cat)
 	}
 	return eng

@@ -8,6 +8,7 @@ import (
 	"parallax/internal/attack"
 	"parallax/internal/core"
 	"parallax/internal/dyngen"
+	"parallax/internal/emu"
 	"parallax/internal/obs"
 )
 
@@ -17,7 +18,7 @@ import (
 // per-worker translation caches by dropping the shared catalog
 // withDefaults created.
 func engineClasses(t *testing.T, prot *core.Protected, mutants []Mutant,
-	cfg Config, engine string, private bool) ([]Class, *obs.Registry) {
+	cfg Config, engine emu.Engine, private bool) ([]Class, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg.Engine = engine

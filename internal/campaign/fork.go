@@ -44,8 +44,7 @@ func reference(ctx context.Context, img *image.Image, cfg Config) (attack.RunRes
 		Obs: cfg.Obs, Engine: cfg.Engine, Catalog: cfg.cat,
 	}
 	lo, hi := recordSpan(img)
-	knownEngine := cfg.Engine == "" || cfg.Engine == "interp" || cfg.Engine == "tb"
-	if cfg.Reload || !knownEngine || cfg.MaxInst >= 1<<32 || hi-lo > maxRecordSpan {
+	if cfg.Reload || cfg.Engine.Validate() != nil || cfg.MaxInst >= 1<<32 || hi-lo > maxRecordSpan {
 		res := attack.RunWith(ctx, img, runCfg)
 		if cfg.Reload {
 			return res, nil

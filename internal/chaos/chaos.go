@@ -1,9 +1,9 @@
 // Package chaos is the deterministic fault-injection subsystem: named
 // fault points threaded through the hot layers (emulator, image
 // loader, farm, campaign) fire seeded, reproducible infrastructure
-// failures so the graceful-degradation machinery — retry, breaker,
-// watchdog, checkpoint/resume, infra-error classification — can be
-// exercised and measured instead of trusted.
+// failures so the graceful-degradation machinery — panic confinement,
+// deadlines, watchdogs, checkpoint/resume, infra-error classification —
+// can be exercised and measured instead of trusted.
 //
 // The design contract mirrors internal/obs: production builds pay
 // zero cost when injection is disabled. Every Injector method is

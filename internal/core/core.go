@@ -13,6 +13,7 @@ import (
 	"parallax/internal/chain"
 	"parallax/internal/codegen"
 	"parallax/internal/dyngen"
+	"parallax/internal/emu"
 	"parallax/internal/emu/tb"
 	"parallax/internal/gadget"
 	"parallax/internal/image"
@@ -37,12 +38,12 @@ type Options struct {
 	Workload []byte
 	// Engine selects the execution backend for emulation Protect
 	// itself performs (today: the AutoSelect profiling run). "" or
-	// "interp" run the interpreter; "tb" runs the translation-block
+	// emu.Interp run the interpreter; emu.TB runs the translation-block
 	// engine (internal/emu/tb). Selection results are identical —
 	// the engines are differentially tested in lockstep — so this
 	// only trades profiling wall-clock.
-	Engine string
-	// TBCatalog, when non-nil and Engine is "tb", shares translations
+	Engine emu.Engine
+	// TBCatalog, when non-nil and Engine is emu.TB, shares translations
 	// between this run's engine and every other engine attached to the
 	// same catalog — the farm attaches one per Farm so repeated
 	// profiling of identical module bytes decodes them once.

@@ -31,7 +31,7 @@ func SelectVerificationFunc(m *ir.Module, workload []byte) (string, error) {
 // selectVerificationFunc is SelectVerificationFunc with an explicit
 // execution backend for the profile run (Options.Engine semantics) and
 // an optional shared translation catalog for that backend.
-func selectVerificationFunc(m *ir.Module, workload []byte, engine string, cat *tb.Catalog) (string, error) {
+func selectVerificationFunc(m *ir.Module, workload []byte, engine emu.Engine, cat *tb.Catalog) (string, error) {
 	report, err := profileModule(m, workload, engine, cat)
 	if err != nil {
 		return "", err
@@ -69,22 +69,25 @@ const SelectThreshold = 0.02
 // ProfileModule builds the module, runs it under the emulator with
 // per-address profiling, and aggregates per-function statistics.
 func ProfileModule(m *ir.Module, workload []byte) (*ProfileReport, error) {
-	return ProfileModuleEngine(m, workload, "")
+	return ProfileModuleEngine(m, workload, emu.Interp)
 }
 
 // ProfileModuleEngine is ProfileModule with an explicit execution
-// backend: "" or "interp" run the interpreter, "tb" the
+// backend: "" or emu.Interp run the interpreter, emu.TB the
 // translation-block engine (internal/emu/tb), which replicates the
 // interpreter's per-address hit counting so the resulting profile is
 // identical — only the wall-clock differs.
-func ProfileModuleEngine(m *ir.Module, workload []byte, engine string) (*ProfileReport, error) {
+func ProfileModuleEngine(m *ir.Module, workload []byte, engine emu.Engine) (*ProfileReport, error) {
 	return profileModule(m, workload, engine, nil)
 }
 
 // profileModule is ProfileModuleEngine with an optional shared
 // translation catalog for the tb backend: a farm profiling the same
 // module bytes across jobs pays the decode+compile cost once.
-func profileModule(m *ir.Module, workload []byte, engine string, cat *tb.Catalog) (*ProfileReport, error) {
+func profileModule(m *ir.Module, workload []byte, engine emu.Engine, cat *tb.Catalog) (*ProfileReport, error) {
+	if err := engine.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	img, err := codegen.Build(m, image.Layout{})
 	if err != nil {
 		return nil, err
@@ -96,15 +99,12 @@ func profileModule(m *ir.Module, workload []byte, engine string, cat *tb.Catalog
 	cpu.EnableProfile()
 	cpu.OS = emu.NewOS(workload)
 	var runErr error
-	switch engine {
-	case "", "interp":
-		runErr = cpu.Run()
-	case "tb":
+	if engine == emu.TB {
 		eng := tb.NewWithCatalog(cpu, nil, cat)
 		runErr = eng.Run()
 		eng.Close()
-	default:
-		return nil, fmt.Errorf("core: unknown engine %q (want interp or tb)", engine)
+	} else {
+		runErr = cpu.Run()
 	}
 	if runErr != nil {
 		return nil, fmt.Errorf("core: profile run failed: %w", runErr)

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"parallax/internal/attack"
 	"parallax/internal/codegen"
 	"parallax/internal/core"
 	"parallax/internal/emu"
@@ -218,6 +220,49 @@ func TestGenInvariants(t *testing.T) {
 			}
 			if cpu.Icount > 5_000_000 {
 				t.Errorf("workload not bounded: %d insts", cpu.Icount)
+			}
+		})
+	}
+}
+
+// TestGenProtectedMatchesBaseline pins three generated modules whose
+// text offers load gadgets carrying a second, incidental memory read
+// (tiny-149853: "test [ebx+0xe045c7be],edx; mov eax,[ebx]; ret";
+// tiny-323: "adc eax,[edx-0x17ba38c0]; mov eax,[ebx]; ret"). A chain
+// built from one faults within ~74 instructions, so each protected
+// clean run must equal its baseline on both engines.
+func TestGenProtectedMatchesBaseline(t *testing.T) {
+	for _, c := range []struct {
+		fam  string
+		seed uint64
+	}{{"tiny", 149853}, {"tiny", 323}, {"muldiv", 103}} {
+		fam, err := FamilyByName(c.fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := FamilyProgram(fam, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(prog.Name, func(t *testing.T) {
+			prot, err := core.Protect(prog.Build(), core.Options{VerifyFuncs: []string{prog.VerifyFunc}})
+			if err != nil {
+				t.Fatalf("protect: %v", err)
+			}
+			for _, engine := range emu.Engines {
+				run := func(img *image.Image) attack.RunResult {
+					return attack.RunWith(context.Background(), img, attack.RunConfig{
+						Stdin: prog.Stdin, MaxInst: 5_000_000, Engine: engine,
+					})
+				}
+				base, got := run(prot.Baseline), run(prot.Image)
+				if base.Err != nil {
+					t.Fatalf("%s baseline: %v", engine, base.Err)
+				}
+				if got.Err != nil || got.Status != base.Status || got.Stdout != base.Stdout {
+					t.Errorf("%s: protected run (status %d, err %v, eip %#x after %d insts) differs from baseline (status %d)",
+						engine, got.Status, got.Err, got.EIP, got.Icount, base.Status)
+				}
 			}
 		})
 	}

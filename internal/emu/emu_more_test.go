@@ -207,3 +207,16 @@ func TestFlagsQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEngineValidate: the empty name and both backends validate;
+// anything else is refused with the one error every layer reports.
+func TestEngineValidate(t *testing.T) {
+	for _, e := range append([]Engine{""}, Engines...) {
+		if err := e.Validate(); err != nil {
+			t.Errorf("Engine(%q).Validate() = %v", e, err)
+		}
+	}
+	if err := Engine("qemu").Validate(); err == nil || err.Error() != `unknown engine "qemu" (want interp or tb)` {
+		t.Errorf("Engine(\"qemu\").Validate() = %v", err)
+	}
+}

@@ -1,6 +1,10 @@
 package emu
 
-import "parallax/internal/x86"
+import (
+	"fmt"
+
+	"parallax/internal/x86"
+)
 
 // This file is the execution-engine support surface: the minimal set
 // of hooks an alternative engine (internal/emu/tb's translation-block
@@ -82,4 +86,30 @@ func (c *CPU) ExitTo(target uint32) bool {
 		return true
 	}
 	return false
+}
+
+// Engine selects an execution backend. The zero value and Interp run
+// the interpreter; TB runs the translation-block engine
+// (internal/emu/tb). Every layer that picks a backend (core.Options,
+// attack.RunConfig, campaign.Config, the experiment options and the
+// CLI flags) carries an Engine, and Validate is the one check of a
+// name.
+type Engine string
+
+// The execution backends.
+const (
+	Interp Engine = "interp"
+	TB     Engine = "tb"
+)
+
+// Engines lists the named backends in usage-string order.
+var Engines = []Engine{Interp, TB}
+
+// Validate reports an error for a name that selects no backend.
+func (e Engine) Validate() error {
+	switch e {
+	case "", Interp, TB:
+		return nil
+	}
+	return fmt.Errorf("unknown engine %q (want interp or tb)", string(e))
 }

@@ -45,9 +45,9 @@ type ColdCoverOptions struct {
 	Mutants int
 	// Workers is the per-campaign worker count (0 = GOMAXPROCS).
 	Workers int
-	// Engine is the campaign execution backend (default "tb"; the
+	// Engine is the campaign execution backend (default emu.TB; the
 	// cross-check below re-runs under the other one).
-	Engine string
+	Engine emu.Engine
 	// CrossEvery re-runs every k-th program's heavy/composed campaign
 	// under the other engine and hard-fails on matrix divergence
 	// (0 = 4; negative disables).
@@ -70,7 +70,7 @@ func (o ColdCoverOptions) withDefaults() ColdCoverOptions {
 		o.Mutants = 96
 	}
 	if o.Engine == "" {
-		o.Engine = "tb"
+		o.Engine = emu.TB
 	}
 	if o.CrossEvery == 0 {
 		o.CrossEvery = 4
@@ -150,7 +150,7 @@ type ColdCoverFamily struct {
 
 // ColdCoverReport is the full sweep result.
 type ColdCoverReport struct {
-	Engine      string             `json:"engine"`
+	Engine      emu.Engine         `json:"engine"`
 	Checkers    int                `json:"checkers"`
 	Mutants     int                `json:"mutants"`
 	Programs    []ColdCoverProgram `json:"programs"`
@@ -211,9 +211,9 @@ func runCyclesWith(img *image.Image, stdin []byte) (uint64, error) {
 func ColdCoverSweep(ctx context.Context, opts ColdCoverOptions) (*ColdCoverReport, error) {
 	opts = opts.withDefaults()
 	out := &ColdCoverReport{Engine: opts.Engine, Checkers: opts.Checkers, Mutants: opts.Mutants}
-	other := "tb"
-	if opts.Engine == "tb" {
-		other = "interp"
+	other := emu.TB
+	if opts.Engine == emu.TB {
+		other = emu.Interp
 	}
 	total := len(opts.Families) * opts.Seeds
 	done := 0

@@ -32,9 +32,9 @@ type CorpusOptions struct {
 	// (0 = 105). Budgets >= 20 always include the 1.6 MiB and 4 MiB
 	// families so the sweep spans three size decades.
 	N int
-	// Engine is the campaign execution backend, "tb" (default) or
-	// "interp"; the cross-engine check re-derives under the other.
-	Engine string
+	// Engine is the campaign execution backend, emu.TB (default) or
+	// emu.Interp; the cross-engine check re-derives under the other.
+	Engine emu.Engine
 	// Mutants caps each program's campaign (0 = 96).
 	Mutants int
 	// Workers is the per-campaign worker count (0 = GOMAXPROCS).
@@ -52,7 +52,7 @@ func (o CorpusOptions) withDefaults() CorpusOptions {
 		o.N = 105
 	}
 	if o.Engine == "" {
-		o.Engine = "tb"
+		o.Engine = emu.TB
 	}
 	if o.Mutants == 0 {
 		o.Mutants = 96
@@ -152,7 +152,7 @@ type CorpusFamily struct {
 
 // CorpusReport is the full sweep result.
 type CorpusReport struct {
-	Engine      string          `json:"engine"`
+	Engine      emu.Engine      `json:"engine"`
 	Programs    []CorpusProgram `json:"programs"`
 	Families    []CorpusFamily  `json:"families"`
 	Overall     CorpusFamily    `json:"overall"`
@@ -280,9 +280,9 @@ func CorpusSweep(ctx context.Context, opts CorpusOptions) (*CorpusReport, error)
 	}
 
 	out := &CorpusReport{Engine: opts.Engine}
-	other := "tb"
-	if opts.Engine == "tb" {
-		other = "interp"
+	other := emu.TB
+	if opts.Engine == emu.TB {
+		other = emu.Interp
 	}
 	done := 0
 	for _, entry := range plan {
@@ -471,7 +471,7 @@ func CorpusEngines(ctx context.Context, families []string, seed uint64, mutants,
 		cfg := corpusCampaignConfig(CorpusOptions{Mutants: mutants, Workers: workers},
 			len(text.Data), fam.Params.CodeKiB)
 
-		run := func(engine string, reload bool) (*campaign.Report, float64, error) {
+		run := func(engine emu.Engine, reload bool) (*campaign.Report, float64, error) {
 			c := cfg
 			c.Engine = engine
 			c.Reload = reload

@@ -64,9 +64,9 @@ func (c *Cache) Len() (scans, hints int) {
 }
 
 // scanner returns a core.Options.ScanFunc that serves scans from the
-// cache, recording hits and misses into both the farm counters and the
-// per-job tallies.
-func (c *Cache) scanner(ct *counters, jobHits, jobMisses *uint64, inj *chaos.Injector) func(*image.Image, gadget.ScanConfig) *gadget.Catalog {
+// cache, recording hits, misses and scan time into the farm's metrics
+// and hits and misses into the per-job tallies.
+func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.Injector) func(*image.Image, gadget.ScanConfig) *gadget.Catalog {
 	return func(img *image.Image, cfg gadget.ScanConfig) *gadget.Catalog {
 		k := scanKey(img, cfg)
 		c.mu.Lock()
@@ -81,7 +81,7 @@ func (c *Cache) scanner(ct *counters, jobHits, jobMisses *uint64, inj *chaos.Inj
 			hit = false
 			start := time.Now()
 			e.cat = gadget.Scan(img, cfg)
-			atomic.AddInt64(&ct.scanNanos, time.Since(start).Nanoseconds())
+			m.scanNs.Add(uint64(time.Since(start).Nanoseconds()))
 		})
 		if hit && inj.ShouldNext(chaos.PointFarmCacheRead) {
 			// Injected cache corruption: the cached catalog is treated as
@@ -91,16 +91,16 @@ func (c *Cache) scanner(ct *counters, jobHits, jobMisses *uint64, inj *chaos.Inj
 			// alone (concurrent readers may hold e.cat).
 			start := time.Now()
 			cat := gadget.Scan(img, cfg)
-			atomic.AddInt64(&ct.scanNanos, time.Since(start).Nanoseconds())
-			atomic.AddUint64(&ct.scanMisses, 1)
+			m.scanNs.Add(uint64(time.Since(start).Nanoseconds()))
+			m.scanMisses.Inc()
 			atomic.AddUint64(jobMisses, 1)
 			return cat
 		}
 		if hit {
-			atomic.AddUint64(&ct.scanHits, 1)
+			m.scanHits.Inc()
 			atomic.AddUint64(jobHits, 1)
 		} else {
-			atomic.AddUint64(&ct.scanMisses, 1)
+			m.scanMisses.Inc()
 			atomic.AddUint64(jobMisses, 1)
 		}
 		return e.cat

@@ -31,6 +31,7 @@ import (
 
 	"parallax/internal/chaos"
 	"parallax/internal/core"
+	"parallax/internal/emu"
 	"parallax/internal/emu/tb"
 	"parallax/internal/ir"
 	"parallax/internal/obs"
@@ -69,21 +70,16 @@ type Config struct {
 	// Cache is the stage cache to use; nil means a fresh private one.
 	// Sharing a warm Cache across farms is safe and useful.
 	Cache *Cache
-	// Retry re-runs failed jobs with capped exponential backoff. The
-	// zero value disables retries.
-	Retry RetryPolicy
-	// JobTimeout bounds each job from submission to completion
-	// (retries and backoff included); an expired job fails with an
-	// error wrapping context.DeadlineExceeded. Zero means no deadline.
+	// JobTimeout is a deadline measured from submission: a job still
+	// queued when it expires fails with an error wrapping
+	// context.DeadlineExceeded. A job already inside core.Protect runs
+	// to completion. Zero means no deadline beyond the caller's context.
 	JobTimeout time.Duration
-	// Breaker configures the consecutive-failure circuit breaker. The
-	// zero value disables it.
-	Breaker BreakerConfig
-	// Obs, when non-nil, mirrors farm activity into a shared metrics
-	// registry (farm.* counters, queue-depth gauge, latency histograms,
-	// breaker state) so one report can merge farm, emulator and
-	// pipeline-stage views. Nil keeps the farm observability-free: the
-	// per-event cost is a single nil check.
+	// Obs is the registry the farm records its activity into (farm.*
+	// counters, queue-depth gauge, latency histograms), so one report
+	// can merge farm, emulator and pipeline-stage views. It is the
+	// farm's only accounting: Stats reads it back. Nil means a private
+	// registry. Farms sharing one registry share their farm.* totals.
 	Obs *obs.Registry
 	// Chaos, when non-nil, arms the farm's fault-injection points:
 	// chaos.PointFarmWorkerPanic (a pipeline stage panics),
@@ -97,13 +93,10 @@ type Config struct {
 // feed with Submit, stop with Close.
 type Farm struct {
 	cache      *Cache
-	ct         counters
 	om         farmMetrics
 	jobs       chan *Job
 	wg         sync.WaitGroup
-	retry      RetryPolicy
 	jobTimeout time.Duration
-	brk        *breaker
 	chaos      *chaos.Injector
 
 	// tbCat is the farm-wide shared translation catalog, injected into
@@ -114,9 +107,8 @@ type Farm struct {
 	// never what any engine executes.
 	tbCat *tb.Catalog
 
-	// Deterministic-test seams; production values are time.Now,
-	// realSleep and (*Farm).protect.
-	now       func() time.Time
+	// Deterministic-test seams; production values are realSleep and
+	// (*Farm).protect.
 	sleep     func(context.Context, time.Duration) error
 	protectFn func(*Job) (*core.Protected, error)
 
@@ -135,21 +127,17 @@ func New(cfg Config) *Farm {
 	if cfg.Cache == nil {
 		cfg.Cache = NewCache()
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	f := &Farm{
 		cache:      cfg.Cache,
 		om:         newFarmMetrics(cfg.Obs),
 		jobs:       make(chan *Job, cfg.Queue),
-		retry:      cfg.Retry.withDefaults(),
 		jobTimeout: cfg.JobTimeout,
 		chaos:      cfg.Chaos,
 		tbCat:      tb.NewCatalog(),
-		now:        time.Now,
 		sleep:      realSleep,
-	}
-	f.brk = newBreaker(cfg.Breaker, func() time.Time { return f.now() })
-	if f.brk != nil {
-		f.brk.tripCtr = cfg.Obs.Counter("farm.breaker_trips")
-		f.brk.openG = cfg.Obs.Gauge("farm.breaker_open")
 	}
 	f.protectFn = f.protect
 	f.wg.Add(cfg.Workers)
@@ -161,25 +149,6 @@ func New(cfg Config) *Farm {
 
 // Cache returns the farm's stage cache (to share with another farm).
 func (f *Farm) Cache() *Cache { return f.cache }
-
-// Stats returns a point-in-time snapshot of the farm's counters. It is
-// an alias for StatsSnapshot, which documents the concurrency contract.
-func (f *Farm) Stats() Stats {
-	return f.StatsSnapshot()
-}
-
-// StatsSnapshot returns a copy of the farm's counters that is safe to
-// read while jobs are active: every field is loaded atomically (or
-// under the breaker's mutex), so no value is ever torn. The snapshot
-// is per-field consistent, not globally linearized — a job finishing
-// mid-snapshot can appear in JobsCompleted before JobsSubmitted
-// reflects a concurrent submit. Callers needing cross-field invariants
-// should quiesce the farm first (Close, or wait on all jobs).
-func (f *Farm) StatsSnapshot() Stats {
-	s := f.ct.snapshot()
-	s.BreakerTrips = f.brk.tripCount()
-	return s
-}
 
 // Close stops accepting jobs, waits for queued and running jobs to
 // finish, and stops the workers. It is idempotent and safe to call
@@ -244,10 +213,6 @@ type Result struct {
 	ScanMisses uint64
 	// HintUsed reports whether cached fixpoint sizes seeded this job.
 	HintUsed bool
-	// Attempts is how many times the pipeline ran for this job (0 for
-	// jobs that never started: cancelled while queued or rejected by
-	// the circuit breaker).
-	Attempts int
 }
 
 // Done is closed when the job has finished (or was cancelled while
@@ -285,8 +250,8 @@ func (f *Farm) Submit(ctx context.Context, name string, m *ir.Module, opts core.
 		done:      make(chan struct{}),
 	}
 	if f.jobTimeout > 0 {
-		// The deadline covers the job's whole life — queue wait, every
-		// attempt, and backoff between attempts.
+		// The deadline runs from submission, so queue wait counts
+		// against it.
 		j.ctx, j.cancel = context.WithTimeout(ctx, f.jobTimeout)
 	}
 	j.res.Name = name
@@ -305,16 +270,13 @@ func (f *Farm) Submit(ctx context.Context, name string, m *ir.Module, opts core.
 	if f.closed {
 		return nil, fmt.Errorf("farm: job %q: %w", name, ErrClosed)
 	}
-	atomic.AddInt64(&f.ct.queueDepth, 1)
 	f.om.queueDepth.Add(1)
 	select {
 	case f.jobs <- j:
 	case <-ctx.Done():
-		atomic.AddInt64(&f.ct.queueDepth, -1)
 		f.om.queueDepth.Add(-1)
 		return nil, fmt.Errorf("farm: submitting job %q: %w", name, ctx.Err())
 	}
-	atomic.AddUint64(&f.ct.submitted, 1)
 	f.om.submitted.Inc()
 	go j.watchCancel(f)
 	return j, nil
@@ -343,8 +305,6 @@ func (j *Job) watchCancel(f *Farm) {
 		if atomic.CompareAndSwapInt32(&j.state, stateQueued, stateDone) {
 			j.res.QueueWait = time.Since(j.submitted)
 			j.res.Err = fmt.Errorf("farm: job %q cancelled while queued: %w", j.Name, j.ctx.Err())
-			atomic.AddInt64(&f.ct.queueDepth, -1)
-			atomic.AddUint64(&f.ct.cancelled, 1)
 			f.om.queueDepth.Add(-1)
 			f.om.cancelled.Inc()
 			j.finish()
@@ -359,10 +319,8 @@ func (f *Farm) worker() {
 		if !atomic.CompareAndSwapInt32(&j.state, stateQueued, stateRunning) {
 			continue // cancelled while queued; watcher already closed it
 		}
-		atomic.AddInt64(&f.ct.queueDepth, -1)
 		f.om.queueDepth.Add(-1)
 		j.res.QueueWait = time.Since(j.submitted)
-		atomic.AddInt64(&f.ct.queueNanos, j.res.QueueWait.Nanoseconds())
 		f.om.queueWaitNs.Record(uint64(j.res.QueueWait.Nanoseconds()))
 		f.run(j)
 		atomic.StoreInt32(&j.state, stateDone)
@@ -373,71 +331,20 @@ func (f *Farm) worker() {
 func (f *Farm) run(j *Job) {
 	if err := j.ctx.Err(); err != nil {
 		j.res.Err = fmt.Errorf("farm: job %q cancelled: %w", j.Name, err)
-		atomic.AddUint64(&f.ct.cancelled, 1)
 		f.om.cancelled.Inc()
 		return
 	}
-	if !f.brk.allow() {
-		j.res.Err = fmt.Errorf("farm: job %q: %w", j.Name, ErrCircuitOpen)
-		atomic.AddUint64(&f.ct.failed, 1)
-		atomic.AddUint64(&f.ct.breakerRejects, 1)
-		f.om.failed.Inc()
-		f.om.breakerRejects.Inc()
-		return
-	}
-
-	maxAttempts := f.retry.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
 	start := time.Now()
-	// Per-job jittered delay stream: jobs retrying off the same failure
-	// wave each follow their own schedule.
-	bo := f.retry.stream(j.Name)
-	var prot *core.Protected
-	var err error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		j.res.Attempts = attempt
-		prot, err = f.protectFn(j)
-		if err == nil || attempt == maxAttempts {
-			break
-		}
-		atomic.AddUint64(&f.ct.retries, 1)
-		f.om.retries.Inc()
-		d := bo.next()
-		if dl, ok := j.ctx.Deadline(); ok {
-			// Deadline-aware backoff: a sleep that cannot end before the
-			// job deadline is a guaranteed cancellation, so fail now
-			// instead of burning the remaining budget asleep.
-			if rem := dl.Sub(f.now()); d >= rem {
-				err = fmt.Errorf("farm: job %q: retry backoff %v exceeds remaining deadline %v: %w",
-					j.Name, d, rem, context.DeadlineExceeded)
-				break
-			}
-		}
-		if serr := f.sleep(j.ctx, d); serr != nil {
-			err = fmt.Errorf("farm: job %q cancelled during retry backoff: %w", j.Name, serr)
-			break
-		}
-	}
+	prot, err := f.protectFn(j)
 	j.res.Runtime = time.Since(start)
-	atomic.AddInt64(&f.ct.protectNanos, j.res.Runtime.Nanoseconds())
 	f.om.jobRuntimeNs.Record(uint64(j.res.Runtime.Nanoseconds()))
-	// The per-job scan tallies are stable here: every attempt ran on
-	// this goroutine.
-	f.om.scanHits.Add(j.res.ScanHits)
-	f.om.scanMisses.Add(j.res.ScanMisses)
 	if err != nil {
 		j.res.Err = err
-		atomic.AddUint64(&f.ct.failed, 1)
 		f.om.failed.Inc()
-		f.brk.recordFailure()
 		return
 	}
 	j.res.Protected = prot
-	atomic.AddUint64(&f.ct.completed, 1)
 	f.om.completed.Inc()
-	f.brk.recordSuccess()
 }
 
 // protect runs one job through core.Protect with the cache wired in
@@ -445,7 +352,6 @@ func (f *Farm) run(j *Job) {
 func (f *Farm) protect(j *Job) (prot *core.Protected, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			atomic.AddUint64(&f.ct.panics, 1)
 			f.om.panics.Inc()
 			err = fmt.Errorf("farm: job %q: %w", j.Name,
 				&PanicError{Value: r, Stack: debug.Stack()})
@@ -458,23 +364,21 @@ func (f *Farm) protect(j *Job) (prot *core.Protected, err error) {
 	}
 	opts := j.opts
 	k := jobKey(j.module, opts)
-	if opts.Engine == "tb" && opts.TBCatalog == nil {
+	if opts.Engine == emu.TB && opts.TBCatalog == nil {
 		// Farm-wide translation sharing; like ScanFunc below, the
 		// injected field is ignored by jobKey (it affects cost, not
 		// output), so cache identity is unchanged.
 		opts.TBCatalog = f.tbCat
 	}
 	if opts.ScanFunc == nil {
-		opts.ScanFunc = f.cache.scanner(&f.ct, &j.res.ScanHits, &j.res.ScanMisses, f.chaos)
+		opts.ScanFunc = f.cache.scanner(&f.om, &j.res.ScanHits, &j.res.ScanMisses, f.chaos)
 	}
 	if opts.Hints == nil {
 		if h, ok := f.cache.lookupHints(k); ok {
 			opts.Hints = h
 			j.res.HintUsed = true
-			atomic.AddUint64(&f.ct.hintHits, 1)
 			f.om.hintHits.Inc()
 		} else {
-			atomic.AddUint64(&f.ct.hintMisses, 1)
 			f.om.hintMisses.Inc()
 		}
 	}
@@ -484,4 +388,17 @@ func (f *Farm) protect(j *Job) (prot *core.Protected, err error) {
 	}
 	f.cache.storeHints(k, prot.Hints)
 	return prot, nil
+}
+
+// realSleep is the production sleep seam: context-aware so a cancelled
+// submission never sits out an injected stall.
+func realSleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +25,71 @@ func waitResult(t *testing.T, j *Job) Result {
 		t.Fatalf("job %q did not finish: %v", j.Name, err)
 	}
 	return res
+}
+
+// stubProtect is a protect seam that succeeds without compiling.
+func stubProtect(*Job) (*core.Protected, error) { return &core.Protected{}, nil }
+
+// seamFarm builds a single-worker farm that runs protect in place of
+// the pipeline. The seam is installed before any job can reach the
+// worker.
+func seamFarm(cfg Config, protect func(*Job) (*core.Protected, error)) *Farm {
+	cfg.Workers = 1
+	f := New(cfg)
+	f.protectFn = protect
+	return f
+}
+
+// seamModule returns a valid module for seam tests; the protect seam
+// never actually compiles it.
+func seamModule(t *testing.T) *ir.Module {
+	t.Helper()
+	p, err := corpus.ByName("wget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Build()
+}
+
+// TestJobDeadlineExpires: JobTimeout runs from submission, so a job
+// starved in the queue past its deadline fails with DeadlineExceeded
+// without ever reaching the pipeline.
+func TestJobDeadlineExpires(t *testing.T) {
+	// The deadline is enforced via a derived context, so an expired
+	// deadline cancels the job while queued — drive it with a real (but
+	// tiny) timeout and a protect seam the job never reaches because the
+	// worker pool is saturated by a slow job.
+	block := make(chan struct{})
+	var ran atomic.Int32
+	f := seamFarm(Config{JobTimeout: 20 * time.Millisecond}, func(j *Job) (*core.Protected, error) {
+		if j.Name == "blocker" {
+			<-block
+		} else {
+			ran.Add(1)
+		}
+		return &core.Protected{}, nil
+	})
+	defer f.Close()
+
+	blocker, err := f.Submit(context.Background(), "blocker", seamModule(t), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starved, err := f.Submit(context.Background(), "starved", seamModule(t), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitResult(t, starved)
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Fatalf("want DeadlineExceeded, got %v", res.Err)
+	}
+	close(block)
+	if res := waitResult(t, blocker); res.Err != nil {
+		t.Fatalf("blocker failed: %v", res.Err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("expired-in-queue job reached the pipeline %d times", n)
+	}
 }
 
 // TestFarmInvalidJobs: bad options fail the job with a wrapped error

@@ -2,31 +2,50 @@ package farm
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
+
+	"parallax/internal/obs"
 )
 
-// counters is the farm's live metric set. All fields are updated with
-// atomics so workers never contend on a lock for bookkeeping.
-type counters struct {
-	submitted      uint64
-	completed      uint64
-	failed         uint64
-	cancelled      uint64
-	panics         uint64
-	retries        uint64
-	breakerRejects uint64
+// farmMetrics holds the farm's handles into its obs.Registry, the
+// farm's single accounting path: each job event is one atomic update
+// here, and Stats reads the same handles back.
+type farmMetrics struct {
+	submitted *obs.Counter
+	completed *obs.Counter
+	failed    *obs.Counter
+	cancelled *obs.Counter
+	panics    *obs.Counter
 
-	scanHits   uint64
-	scanMisses uint64
-	hintHits   uint64
-	hintMisses uint64
+	scanHits   *obs.Counter
+	scanMisses *obs.Counter
+	scanNs     *obs.Counter
+	hintHits   *obs.Counter
+	hintMisses *obs.Counter
 
-	queueDepth int64
+	queueDepth *obs.Gauge
 
-	queueNanos   int64
-	scanNanos    int64
-	protectNanos int64
+	queueWaitNs  *obs.Histogram
+	jobRuntimeNs *obs.Histogram
+}
+
+// newFarmMetrics resolves the handle set in a non-nil registry.
+func newFarmMetrics(r *obs.Registry) farmMetrics {
+	return farmMetrics{
+		submitted:    r.Counter("farm.jobs_submitted"),
+		completed:    r.Counter("farm.jobs_completed"),
+		failed:       r.Counter("farm.jobs_failed"),
+		cancelled:    r.Counter("farm.jobs_cancelled"),
+		panics:       r.Counter("farm.panics"),
+		scanHits:     r.Counter("farm.scan_cache_hits"),
+		scanMisses:   r.Counter("farm.scan_cache_misses"),
+		scanNs:       r.Counter("farm.scan_ns"),
+		hintHits:     r.Counter("farm.hint_cache_hits"),
+		hintMisses:   r.Counter("farm.hint_cache_misses"),
+		queueDepth:   r.Gauge("farm.queue_depth"),
+		queueWaitNs:  r.Histogram("farm.queue_wait_ns"),
+		jobRuntimeNs: r.Histogram("farm.job_runtime_ns"),
+	}
 }
 
 // Stats is a point-in-time snapshot of a farm's counters.
@@ -39,12 +58,6 @@ type Stats struct {
 	// Panics counts pipeline panics converted to job errors (a subset
 	// of JobsFailed).
 	Panics uint64
-	// Retries counts re-runs of failed attempts under the retry policy.
-	Retries uint64
-	// BreakerTrips counts circuit-breaker opens; BreakerRejects counts
-	// jobs failed fast while the circuit was open.
-	BreakerTrips   uint64
-	BreakerRejects uint64
 
 	// ScanHits/ScanMisses count content-addressed gadget-scan cache
 	// lookups; a miss is a scan actually run.
@@ -64,6 +77,32 @@ type Stats struct {
 	ProtectTime time.Duration // inside core.Protect, scans included
 }
 
+// Stats returns a snapshot of the farm's registry metrics that is safe
+// to take while jobs are active: every field is one atomic load, so no
+// value is ever torn. The snapshot is per-field consistent, not
+// globally linearized — a job finishing mid-snapshot can appear in
+// JobsCompleted before JobsSubmitted reflects a concurrent submit.
+// Callers needing cross-field invariants should quiesce the farm first
+// (Close, or wait on all jobs).
+func (f *Farm) Stats() Stats {
+	m := &f.om
+	return Stats{
+		JobsSubmitted: m.submitted.Value(),
+		JobsCompleted: m.completed.Value(),
+		JobsFailed:    m.failed.Value(),
+		JobsCancelled: m.cancelled.Value(),
+		Panics:        m.panics.Value(),
+		ScanHits:      m.scanHits.Value(),
+		ScanMisses:    m.scanMisses.Value(),
+		HintHits:      m.hintHits.Value(),
+		HintMisses:    m.hintMisses.Value(),
+		QueueDepth:    int(m.queueDepth.Value()),
+		QueueWait:     time.Duration(m.queueWaitNs.Sum()),
+		ScanTime:      time.Duration(m.scanNs.Value()),
+		ProtectTime:   time.Duration(m.jobRuntimeNs.Sum()),
+	}
+}
+
 // ScanHitRate returns the scan-cache hit fraction in [0,1], or 0 when
 // no lookups happened.
 func (s Stats) ScanHitRate() float64 {
@@ -77,12 +116,10 @@ func (s Stats) ScanHitRate() float64 {
 // String renders the snapshot as a compact single-line summary.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"jobs: %d submitted, %d completed, %d failed, %d cancelled (%d panics, "+
-			"%d retries, %d breaker trips/%d rejects), queue %d | "+
+		"jobs: %d submitted, %d completed, %d failed, %d cancelled (%d panics), queue %d | "+
 			"scan cache: %d hits / %d misses (%.1f%%), hints: %d/%d | "+
 			"time: queue %v, scan %v, protect %v",
 		s.JobsSubmitted, s.JobsCompleted, s.JobsFailed, s.JobsCancelled, s.Panics,
-		s.Retries, s.BreakerTrips, s.BreakerRejects,
 		s.QueueDepth,
 		s.ScanHits, s.ScanMisses, 100*s.ScanHitRate(),
 		s.HintHits, s.HintHits+s.HintMisses,
@@ -94,41 +131,18 @@ func (s Stats) String() string {
 // long-lived farm. QueueDepth is taken from s as-is.
 func (s Stats) Delta(earlier Stats) Stats {
 	return Stats{
-		JobsSubmitted:  s.JobsSubmitted - earlier.JobsSubmitted,
-		JobsCompleted:  s.JobsCompleted - earlier.JobsCompleted,
-		JobsFailed:     s.JobsFailed - earlier.JobsFailed,
-		JobsCancelled:  s.JobsCancelled - earlier.JobsCancelled,
-		Panics:         s.Panics - earlier.Panics,
-		Retries:        s.Retries - earlier.Retries,
-		BreakerTrips:   s.BreakerTrips - earlier.BreakerTrips,
-		BreakerRejects: s.BreakerRejects - earlier.BreakerRejects,
-		ScanHits:       s.ScanHits - earlier.ScanHits,
-		ScanMisses:     s.ScanMisses - earlier.ScanMisses,
-		HintHits:       s.HintHits - earlier.HintHits,
-		HintMisses:     s.HintMisses - earlier.HintMisses,
-		QueueDepth:     s.QueueDepth,
-		QueueWait:      s.QueueWait - earlier.QueueWait,
-		ScanTime:       s.ScanTime - earlier.ScanTime,
-		ProtectTime:    s.ProtectTime - earlier.ProtectTime,
-	}
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		JobsSubmitted:  atomic.LoadUint64(&c.submitted),
-		JobsCompleted:  atomic.LoadUint64(&c.completed),
-		JobsFailed:     atomic.LoadUint64(&c.failed),
-		JobsCancelled:  atomic.LoadUint64(&c.cancelled),
-		Panics:         atomic.LoadUint64(&c.panics),
-		Retries:        atomic.LoadUint64(&c.retries),
-		BreakerRejects: atomic.LoadUint64(&c.breakerRejects),
-		ScanHits:       atomic.LoadUint64(&c.scanHits),
-		ScanMisses:     atomic.LoadUint64(&c.scanMisses),
-		HintHits:       atomic.LoadUint64(&c.hintHits),
-		HintMisses:     atomic.LoadUint64(&c.hintMisses),
-		QueueDepth:     int(atomic.LoadInt64(&c.queueDepth)),
-		QueueWait:      time.Duration(atomic.LoadInt64(&c.queueNanos)),
-		ScanTime:       time.Duration(atomic.LoadInt64(&c.scanNanos)),
-		ProtectTime:    time.Duration(atomic.LoadInt64(&c.protectNanos)),
+		JobsSubmitted: s.JobsSubmitted - earlier.JobsSubmitted,
+		JobsCompleted: s.JobsCompleted - earlier.JobsCompleted,
+		JobsFailed:    s.JobsFailed - earlier.JobsFailed,
+		JobsCancelled: s.JobsCancelled - earlier.JobsCancelled,
+		Panics:        s.Panics - earlier.Panics,
+		ScanHits:      s.ScanHits - earlier.ScanHits,
+		ScanMisses:    s.ScanMisses - earlier.ScanMisses,
+		HintHits:      s.HintHits - earlier.HintHits,
+		HintMisses:    s.HintMisses - earlier.HintMisses,
+		QueueDepth:    s.QueueDepth,
+		QueueWait:     s.QueueWait - earlier.QueueWait,
+		ScanTime:      s.ScanTime - earlier.ScanTime,
+		ProtectTime:   s.ProtectTime - earlier.ProtectTime,
 	}
 }

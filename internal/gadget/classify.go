@@ -695,8 +695,11 @@ func classifyEval(g *Gadget) bool {
 	if len(e.writes) > 0 && g.Kind != KindStore {
 		g.MemWrites = true
 	}
-	// Loads that are not the classified effect are incidental.
-	if g.Kind != KindLoad && e.loads > 0 {
+	// Loads that are not the classified effect are incidental: every
+	// load of a non-load kind, and any second load of a load gadget
+	// (readOp flags only unknown addresses, so a read through an
+	// entry-register address would otherwise go unseen).
+	if e.loads > 1 || (g.Kind != KindLoad && e.loads > 0) {
 		g.MemReads = true
 	}
 	return true

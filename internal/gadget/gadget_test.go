@@ -426,6 +426,38 @@ func TestClassifyExtendedKinds(t *testing.T) {
 	}
 }
 
+// TestClassifyLoadWithIncidentalRead: a load gadget that reads memory
+// a second time is flagged MemReads, whether the extra read goes
+// through an unknown address or an entry-register one. Both shapes
+// were chained as plain loads and faulted on their incidental read.
+func TestClassifyLoadWithIncidentalRead(t *testing.T) {
+	tests := []struct {
+		name     string
+		bytes    []byte
+		memReads bool
+	}{
+		{"mov eax,[ebx]", []byte{0x8B, 0x03, 0xC3}, false},
+		// test [ebx+0xe045c7be],edx; mov eax,[ebx]; ret
+		{"test-mem then load", []byte{0x85, 0x93, 0xBE, 0xC7, 0x45, 0xE0, 0x8B, 0x03, 0xC3}, true},
+		// adc eax,[edx-0x17ba38c0]; mov eax,[ebx]; ret
+		{"adc-mem then load", []byte{0x13, 0x82, 0x40, 0xC7, 0x45, 0xE8, 0x8B, 0x03, 0xC3}, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			g := scanAt(tt.bytes, 0x1000, 0, ScanConfig{}.withDefaults())
+			if g == nil {
+				t.Fatalf("scanAt(% x) found no gadget", tt.bytes)
+			}
+			if g.Kind != KindLoad || g.Dst != x86.EAX || g.Src != x86.EBX {
+				t.Fatalf("got %v, want load eax,[ebx]", g)
+			}
+			if g.MemReads != tt.memReads {
+				t.Errorf("MemReads = %t, want %t (%v)", g.MemReads, tt.memReads, g)
+			}
+		})
+	}
+}
+
 // TestRegSetQuick checks RegSet's algebra.
 func TestRegSetQuick(t *testing.T) {
 	var s RegSet

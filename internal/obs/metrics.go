@@ -31,7 +31,7 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous signed level: queue depths, breaker state.
+// Gauge is an instantaneous signed level, such as a queue depth.
 // A nil *Gauge records nothing.
 type Gauge struct {
 	v atomic.Int64
@@ -105,6 +105,15 @@ func (h *Histogram) Record(v uint64) {
 			break
 		}
 	}
+}
+
+// Sum returns the total of the recorded observations (0 for a nil
+// histogram).
+func (h *Histogram) Sum() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, suitable

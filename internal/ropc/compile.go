@@ -198,8 +198,9 @@ func (c *compiler) safeFor(spec Spec, g *gadget.Gadget, live gadget.RegSet) bool
 		return len(g.Insts) == 2 && !g.FarRet && g.RetImm == 0
 	case gadget.KindPopEsp:
 		return len(g.Insts) == 2 && !g.FarRet && g.RetImm == 0 && g.PopSlot == 0
-	case gadget.KindLoad, gadget.KindUDivMod, gadget.KindSDivMod:
-		// Their single read is the semantic contract.
+	case gadget.KindUDivMod, gadget.KindSDivMod:
+		// matchStructural admits only a register divisor and clears
+		// MemReads, so stray writes are all there is to check.
 		return !g.MemWrites
 	default:
 		return !g.MemReads && !g.MemWrites

@@ -249,6 +249,28 @@ func TestCompileMissingGadget(t *testing.T) {
 	}
 }
 
+// TestCompileSkipsLoadWithIncidentalRead: given a load gadget that
+// also reads memory elsewhere and its clean "mov eax,[ebx]; ret"
+// suffix, the compiler must chain the suffix. Picking the longer
+// gadget faults on its incidental read at run time.
+func TestCompileSkipsLoadWithIncidentalRead(t *testing.T) {
+	for _, code := range [][]byte{
+		// test [ebx+0xe045c7be],edx; mov eax,[ebx]; ret
+		{0x85, 0x93, 0xBE, 0xC7, 0x45, 0xE0, 0x8B, 0x03, 0xC3},
+		// adc eax,[edx-0x17ba38c0]; mov eax,[ebx]; ret
+		{0x13, 0x82, 0x40, 0xC7, 0x45, 0xE8, 0x8B, 0x03, 0xC3},
+	} {
+		c := &compiler{env: &Env{Catalog: gadget.NewCatalog(gadget.ScanBytes(code, 0x1000, gadget.ScanConfig{}))}}
+		g, err := c.pickChecked(Spec{Kind: gadget.KindLoad, Dst: x86.EAX, Src: x86.EBX}, 0)
+		if err != nil {
+			t.Fatalf("% x: %v", code, err)
+		}
+		if g.Addr != 0x1006 || len(g.Insts) != 2 {
+			t.Errorf("% x: picked %v at %#x, want the clean suffix at 0x1006", code, g, g.Addr)
+		}
+	}
+}
+
 func TestMuChainLonger(t *testing.T) {
 	env, _ := poolEnv(t)
 	env.GlobalAddr = func(string) (uint32, bool) { return 0x08100000, true }
