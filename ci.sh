@@ -86,11 +86,13 @@ fi
 
 # Shared-catalog race smoke: the catalog's concurrent adopt/install
 # paths across 4 campaign workers (plus the SMC and reload variants)
-# under the detector, and the fork-point differentials: workers
-# resuming mutants from the shared clean-run recording, each mutant
-# held to the clone+reload full replay.
+# under the detector, and the fork-point differentials: the clean run
+# recorded on tb into the shared catalog, workers adopting its
+# translations and resuming mutants from the recording, each mutant
+# held to the clone+reload full replay (TestForkDifferentialDense at
+# every byte), plus the tb recorder's own tests (TestRecording*).
 echo "==> shared-catalog smoke (-race)"
-go test -race -run 'TestDifferentialEngines|TestCatalog|TestFork' \
+go test -race -run 'TestDifferentialEngines|TestCatalog|TestFork|TestRecording' \
     ./internal/campaign ./internal/emu/tb
 
 # Corpus-at-scale smoke: a trimmed generated-family sweep (8 programs,

@@ -62,24 +62,29 @@ type Config struct {
 	Stdin []byte
 	// Reload selects the reference execution path: a full image clone
 	// + emulator load per mutant, every mutant replayed from the entry
-	// point. The zero value uses the snapshot/restore engine: each
-	// worker loads the image once and rewinds dirty pages between
-	// mutants, and each mutant resumes from the last fork point of the
-	// recorded clean run before it first touches a mutated byte (see
-	// fork.go). The differential tests hold it classification-identical
-	// to this path. KindSerial mutants always take the loader path;
-	// on the snapshot path those whose section layout and entry point
-	// match the base image resume from a fork point too.
+	// point, and no recording of the clean run. It is the independent
+	// oracle: the differential tests hold the default path
+	// classification-identical to it. The zero value uses the
+	// snapshot/restore engine: each worker loads the image once and
+	// rewinds dirty pages between mutants, and each mutant resumes from
+	// the last fork point of the clean run, recorded on tb, before it
+	// first touches a mutated byte (see fork.go). KindSerial mutants
+	// always take the loader path; on the snapshot path those whose
+	// section layout and entry point match the base image resume from a
+	// fork point too.
 	Reload bool
 	// MemBudget / StackSize bound each mutant's emulator (0 =
 	// defaults).
 	MemBudget uint64
 	StackSize uint32
-	// Engine selects the execution backend for every run, clean and
-	// mutated: "" or emu.Interp is the interpreter, emu.TB the
-	// translation-block engine. On the snapshot/restore path each
-	// worker keeps one persistent tb engine, so translations of the
-	// unmutated pages stay warm across mutants (Restore's page
+	// Engine selects the execution backend for every mutant run and
+	// the Reload path's clean run: "" or emu.Interp is the interpreter,
+	// emu.TB the translation-block engine. The snapshot path records
+	// its clean run on tb whatever the engine, since tb is the
+	// recorder's only feed; the engines agree instruction for
+	// instruction, so the result is the same. On the snapshot/restore
+	// path each worker keeps one persistent tb engine, so translations
+	// of the unmutated pages stay warm across mutants (Restore's page
 	// copy-back invalidates exactly the translations a mutant dirtied).
 	Engine emu.Engine
 	// Obs, when non-nil, accumulates campaign activity into a shared

@@ -29,14 +29,18 @@ import (
 const maxRecordSpan = 64 << 20
 
 // reference runs the clean image once and returns its result. On the
-// snapshot path the run is recorded on the interpreter (the recorder
-// hooks its Step and memory bus; the engines agree instruction for
-// instruction, so the result is the one cfg.Engine would give), and the
-// recording comes back too. A recording without fork points — a run
-// that is too long or an image too sparse to record, or a failed run —
-// makes every mutant replay from the entry point. The Reload path runs
-// under cfg.Engine and returns no recording; so does an unknown engine,
-// whose run fails the way every mutant's would.
+// snapshot path the run is recorded on the tb engine, the recorder's
+// only feed, with the campaign's shared catalog (cfg.cat, nil for the
+// interpreter), so the workers adopt the clean run's translations
+// instead of making their own. The engines agree instruction for
+// instruction, so the result is the one cfg.Engine would give. The
+// recording comes back too, and its wall time goes into cfg.Obs as the
+// campaign.record stage: it is the serial floor of every campaign. A
+// recording without fork points — a run that is too long or an image
+// too sparse to record, or a failed run — makes every mutant replay
+// from the entry point. The Reload path runs under cfg.Engine and
+// returns no recording; an unknown engine's run fails the way every
+// mutant's would.
 func reference(ctx context.Context, img *image.Image, cfg Config) (attack.RunResult, *emu.Recording) {
 	runCfg := attack.RunConfig{
 		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
@@ -51,12 +55,13 @@ func reference(ctx context.Context, img *image.Image, cfg Config) (attack.RunRes
 		}
 		return res, &emu.Recording{}
 	}
+	defer cfg.Obs.StartSpan("campaign.record").End()
 	cpu, err := attack.Load(img, runCfg)
 	if err != nil {
 		return attack.RunResult{Err: err}, &emu.Recording{}
 	}
 	rec := cpu.Record(lo, hi)
-	runCfg.CPU, runCfg.Engine = cpu, ""
+	runCfg.CPU, runCfg.Engine = cpu, emu.TB
 	res := attack.RunWith(ctx, img, runCfg)
 	if err := rec.Finish(); err != nil || res.Err != nil {
 		return res, &emu.Recording{}

@@ -11,6 +11,8 @@ import (
 	"parallax/internal/core"
 	"parallax/internal/corpus/gen"
 	"parallax/internal/dyngen"
+	"parallax/internal/emu"
+	"parallax/internal/emu/forktest"
 	"parallax/internal/image"
 	"parallax/internal/obs"
 )
@@ -78,7 +80,9 @@ func assertForkMatchesReload(t *testing.T, prot *core.Protected, mutants []Mutan
 // instructions are emu.insts − campaign.inherited_insts, where
 // campaign.inherited_insts is the sum of the fork-point Icounts the
 // mutants resumed from, and campaign.fork_points counts the recording's
-// fork points including the exit state.
+// fork points including the exit state. The recording run's wall time
+// is the campaign.record stage, one span per campaign on the snapshot
+// path and none on the reload path.
 func TestForkAccounting(t *testing.T) {
 	prot := protectedTarget(t)
 	cfg := Config{Workers: 2, Stride: 3, MaxMutants: 400, MaxInst: 2_000_000, Timeout: 60 * time.Second}
@@ -90,7 +94,15 @@ func TestForkAccounting(t *testing.T) {
 		if _, err := Run(context.Background(), prot, rcfg); err != nil {
 			t.Fatal(err)
 		}
-		runs[reload] = reg.Snapshot().Counters
+		snap := reg.Snapshot()
+		runs[reload] = snap.Counters
+		st, ok := snap.Stages["campaign.record"]
+		switch {
+		case reload && ok:
+			t.Error("the reload path timed a recording run")
+		case !reload && (st.Count != 1 || st.TotalNanos <= 0):
+			t.Errorf("campaign.record stage: %d spans totalling %v, want one recording run", st.Count, st.Total())
+		}
 	}
 	if r, f := runs[true]["emu.insts"], runs[false]["emu.insts"]; r != f {
 		t.Errorf("emu.insts: reload path %d, fork-point path %d", r, f)
@@ -271,5 +283,43 @@ func TestForkStdinCutBeforeResume(t *testing.T) {
 	}
 	if infra == 0 {
 		t.Error("no mutant classified as an infra error under a stdin cut on every run")
+	}
+}
+
+// TestForkDifferentialDense mutates every byte of two small
+// hand-written targets (stride 1) and holds each mutant to the full
+// replay, under both engines. forktest.Phased rewrites its own code and
+// reads stdin in pieces between fork points; forktest.Probe reads a
+// data word inside the recorded run's first chain and leaves data and
+// code untouched. A first touch recorded later than the true one, or a
+// touched byte recorded as never touched, resumes some mutant past the
+// point where it diverges and shows here as a class difference.
+func TestForkDifferentialDense(t *testing.T) {
+	for _, tg := range []struct {
+		name  string
+		img   *image.Image
+		stdin []byte
+	}{
+		{"phased", forktest.Phased(), []byte(forktest.Stdin)},
+		{"probe", forktest.Probe(), nil},
+	} {
+		prot := &core.Protected{Image: tg.img}
+		for _, engine := range []emu.Engine{emu.Interp, emu.TB} {
+			t.Run(tg.name+"/"+string(engine), func(t *testing.T) {
+				cfg := Config{Workers: 2, Engine: engine, Stride: 1, MaxInst: 20_000,
+					Timeout: time.Minute, Stdin: tg.stdin}
+				mutants := enumerate(t, prot, cfg)
+				classes := assertForkMatchesReload(t, prot, mutants, cfg)
+				silent := 0
+				for _, c := range classes {
+					if c == ClassSilent {
+						silent++
+					}
+				}
+				if silent == 0 || silent == len(classes) {
+					t.Errorf("%d of %d mutants silent: the differential needs both outcomes", silent, len(classes))
+				}
+			})
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"parallax/internal/campaign"
 	"parallax/internal/core"
@@ -32,10 +33,14 @@ func goldenKey(fam gen.Family, seed uint64, workload string) string {
 // goldenConfig is the pinned campaign configuration the goldens were
 // recorded under. Every knob that shapes enumeration or classification
 // is explicit; changing any of them requires re-recording with -update.
+// The wall-clock watchdog is far above any mutant's MaxInst run, so
+// the instruction budget alone decides every timeout cell, also under
+// -race on a slow host.
 func goldenConfig() campaign.Config {
 	return campaign.Config{
 		Workers:    4,
 		MaxInst:    2_000_000,
+		Timeout:    time.Minute,
 		Stride:     7,
 		MaxMutants: 64,
 	}

@@ -306,9 +306,6 @@ func (c *CPU) Step() error {
 	if err != nil {
 		return err
 	}
-	if r := c.Mem.rec; r != nil {
-		r.step(inst.Len)
-	}
 	if c.profile != nil {
 		c.profile[c.EIP]++
 	}

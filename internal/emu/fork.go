@@ -14,7 +14,7 @@ import (
 // ForkPoint is a clean run's complete state after Icount instructions:
 // registers, EFLAGS, the performance counters, the exit latch, every
 // page written since the image was loaded, and the kernel state. A
-// Recording takes them during an interpreter run; ApplyFork moves
+// Recording takes them during a tb engine run; ApplyFork moves
 // another CPU loaded from the same image to one, and a run resumed
 // there (with RunWith's kernel resume) continues the clean run
 // instruction for instruction.
@@ -75,25 +75,34 @@ func (c *CPU) ApplyFork(fp *ForkPoint) {
 	c.Status = fp.status
 }
 
-// Recording watches one interpreter run from the entry point for
-// fork-point scheduling. It takes a ForkPoint at fixed instruction
+// Recording watches one translation-block run from the entry point
+// for fork-point scheduling. It takes a ForkPoint at fixed instruction
 // intervals (at most maxForks of them; when full it keeps every other
-// one and doubles the interval) and, for each byte of an address
-// span, the instruction count of the first instruction that fetched,
-// read or wrote it. A run differs from the recorded one only once it
-// reaches a byte that differs between them, so a run over memory that
-// differs in some bytes can resume from the last fork point before the
-// first of them was touched.
+// one and doubles the interval) and, for each byte of an address span,
+// the instruction count of the first instruction that fetched, read or
+// wrote it. A run differs from the recorded one only once it reaches a
+// byte that differs between them, so a run over memory that differs in
+// some bytes can resume from the last fork point before the first of
+// them was touched.
 //
-// Recording hooks the interpreter's Step and the memory bus; the
-// translation-block engine does not feed it. Icounts are stored as
-// uint32, so the recorded run must stay below 2^32 instructions.
+// The tb engine is the recorder's only feed. At every block entry it
+// marks the block's code bytes fetched by the block's first
+// instruction; every data read and write reaches the memory bus, where
+// check marks it with the CPU's published Icount; and it takes fork
+// points at dispatcher boundaries once NextFork is due. Both marks can
+// be earlier than the instruction that truly touched the byte (the
+// whole block is marked at entry, and inside a chained run the
+// published Icount lags), never later, and a byte reads as never
+// touched only if the run never fetched, read or wrote it: resuming
+// from an earlier fork point is still exact, just longer. The
+// interpreter does not feed it. Icounts are stored as uint32, so the
+// recorded run must stay below 2^32 instructions.
 type Recording struct {
 	cpu   *CPU
 	lo    uint32
 	first []uint32 // per byte of the span: first toucher's Icount, 0 = never
 	every uint64   // fork interval
-	next  uint64   // Icount of the next fork
+	next  uint64   // Icount at which the next fork is due
 	forks []*ForkPoint
 	err   error
 }
@@ -109,7 +118,8 @@ const (
 // Record attaches a Recording to a freshly loaded CPU (Icount 0) and
 // arms dirty-page tracking, which Record takes over from any Snapshot.
 // [lo, hi) is the span whose first touches are kept; a byte outside it
-// reads as touched by the first instruction.
+// reads as touched by the first instruction. The run it records must
+// be a tb engine's.
 func (c *CPU) Record(lo, hi uint32) *Recording {
 	r := &Recording{cpu: c, lo: lo, first: make([]uint32, hi-lo), every: forkEvery, next: forkEvery}
 	for _, seg := range c.Mem.segs {
@@ -119,17 +129,19 @@ func (c *CPU) Record(lo, hi uint32) *Recording {
 	return r
 }
 
-// step runs before each interpreter instruction executes, after its
-// decode: it takes a fork point when one is due (the CPU still holds
-// the state after Icount instructions) and marks the instruction's
-// bytes fetched by instruction Icount+1.
-func (r *Recording) step(n int) {
-	c := r.cpu
-	if c.Icount >= r.next && r.fork() {
-		r.advance()
-	}
-	r.mark(c.EIP, uint32(n), uint32(c.Icount+1))
+// Recording returns the Recording attached by Record, nil when none is
+// (or after Finish).
+func (c *CPU) Recording() *Recording { return c.Mem.rec }
+
+// Overlaps reports whether [lo, hi) overlaps the recorded span. An
+// engine must route every access to such bytes through the memory bus,
+// where the recording sees it.
+func (r *Recording) Overlaps(lo, hi uint32) bool {
+	return lo < r.lo+uint32(len(r.first)) && r.lo < hi
 }
+
+// Fetched records the code bytes [lo, hi) fetched by instruction t.
+func (r *Recording) Fetched(lo, hi uint32, t uint64) { r.mark(lo, hi-lo, uint32(t)) }
 
 // mark records instruction t touching [addr, addr+n).
 func (r *Recording) mark(addr, n, t uint32) {
@@ -143,6 +155,30 @@ func (r *Recording) mark(addr, n, t uint32) {
 			r.first[i] = t
 		}
 	}
+}
+
+// NextFork returns the Icount from which the next fork point is due.
+func (r *Recording) NextFork() uint64 { return r.next }
+
+// Fork takes a fork point of the CPU's current state, which must be
+// complete: EFLAGS materialized, EIP the next instruction's. When
+// maxForks are held, it keeps every other one and doubles the
+// interval. The next fork point is due at the interval's next
+// multiple.
+func (r *Recording) Fork() {
+	if !r.fork() {
+		return
+	}
+	if len(r.forks) == maxForks {
+		r.every *= 2
+		kept := r.forks[:0]
+		for i := 1; i < len(r.forks); i += 2 {
+			kept = append(kept, r.forks[i])
+		}
+		clear(r.forks[len(kept):])
+		r.forks = kept
+	}
+	r.next = (r.cpu.Icount/r.every + 1) * r.every
 }
 
 // fork captures the CPU's current state as a fork point. It reports
@@ -174,26 +210,6 @@ func (r *Recording) fork() bool {
 	}
 	r.forks = append(r.forks, fp)
 	return true
-}
-
-// advance schedules the next periodic fork point. Fork points sit at
-// multiples of the interval; once maxForks have been taken, the
-// interval doubles and only the fork points at its multiples stay.
-func (r *Recording) advance() {
-	r.next += r.every
-	if len(r.forks) < maxForks {
-		return
-	}
-	r.every *= 2
-	kept := r.forks[:0]
-	for _, f := range r.forks {
-		if f.Icount%r.every == 0 {
-			kept = append(kept, f)
-		}
-	}
-	clear(r.forks[len(kept):])
-	r.forks = kept
-	r.next = (r.cpu.Icount/r.every + 1) * r.every
 }
 
 // Finish detaches the recording after the run and takes the exit state

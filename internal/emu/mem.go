@@ -123,8 +123,8 @@ type Memory struct {
 	invalSeq uint64
 
 	// rec, when non-nil, is the Recording CPU.Record attached: check
-	// feeds it every data read and write, CPU.Step every fetch. Nil
-	// costs one check per access.
+	// feeds it every data read and write (the tb engine feeds it
+	// fetches). Nil costs one check per access.
 	rec *Recording
 }
 
@@ -260,7 +260,11 @@ func (m *Memory) check(addr uint32, n uint32, access Access, eip uint32) ([]byte
 	}
 	off := addr - s.Addr
 	if m.rec != nil && access != AccessFetch {
-		m.rec.mark(addr, n, uint32(m.rec.cpu.Icount))
+		// The published Icount is the accessing instruction's on a
+		// fallback or syscall, and a chained tb run's start otherwise:
+		// never later than the access. It is 0 inside the run's first
+		// chain, and 0 means never touched, so the mark is at least 1.
+		m.rec.mark(addr, n, uint32(max(m.rec.cpu.Icount, 1)))
 	}
 	if access == AccessWrite {
 		// The caller is about to mutate the returned slice: record the

@@ -36,7 +36,10 @@ func (e *Engine) ea(op *uop) uint32 {
 // hooks fire. writeDword checks Snapshot's dirty-page arm at store
 // time, so a Snapshot taken after the segment was cached still sees
 // every write. Segments are never unmapped and Restore copies bytes
-// back in place, so a cached pointer cannot go stale.
+// back in place, so a cached pointer cannot go stale. While an
+// emu.Recording is attached, no cache holds a segment overlapping the
+// recorded span (see recorded): every access to those bytes reaches the
+// bus, where the recording marks it.
 //
 // Cached segments are always at least four bytes long, so the hot
 // bounds check is the single unsigned compare
@@ -70,7 +73,7 @@ func (e *Engine) load32(addr, pc uint32) (uint32, error) {
 	v, err := e.cpu.Mem.Load32(addr, pc)
 	if err == nil {
 		if s := e.cpu.Mem.Segment(addr); s != nil && s.Perm&image.PermR != 0 &&
-			len(s.Data) >= 4 {
+			len(s.Data) >= 4 && !e.recorded(s) {
 			e.rd = s
 		}
 	}
@@ -117,7 +120,7 @@ func (e *Engine) store32(addr, v, pc uint32) error {
 	if err == nil {
 		if s := e.cpu.Mem.Segment(addr); s != nil &&
 			s.Perm&image.PermW != 0 && s.Perm&image.PermX == 0 &&
-			len(s.Data) >= 4 {
+			len(s.Data) >= 4 && !e.recorded(s) {
 			e.wr = s
 		}
 	}
@@ -167,8 +170,30 @@ func (e *Engine) pop32(pc uint32) (uint32, error) {
 func (e *Engine) cacheStack(sp uint32) {
 	s := e.cpu.Mem.Segment(sp)
 	if s != nil && s.Perm&image.PermR != 0 && s.Perm&image.PermW != 0 &&
-		s.Perm&image.PermX == 0 && len(s.Data) >= 4 {
+		s.Perm&image.PermX == 0 && len(s.Data) >= 4 && !e.recorded(s) {
 		e.stk = s
+	}
+}
+
+// recorded reports whether an emu.Recording is attached to the CPU and
+// s overlaps its span: such a segment is never cached.
+func (e *Engine) recorded(s *emu.Segment) bool {
+	r := e.cpu.Recording()
+	return s != nil && r != nil && r.Overlaps(s.Addr, s.End())
+}
+
+// dropRecorded empties every segment cache that holds recorded bytes;
+// the run entry points call it, so a recording attached after the
+// caches were filled still sees every access.
+func (e *Engine) dropRecorded() {
+	if e.recorded(e.rd) {
+		e.rd = nil
+	}
+	if e.recorded(e.wr) {
+		e.wr = nil
+	}
+	if e.recorded(e.stk) {
+		e.stk = nil
 	}
 }
 
@@ -314,7 +339,9 @@ func (e *Engine) execChain(b *block, limit, stop uint64) (*block, error) {
 // Direct control transfers whose successor block is already chained
 // continue inside the loop while fewer than stop instructions have
 // retired, so straight-run traces cross block boundaries without
-// returning to the dispatcher. Returns the pending successor block
+// returning to the dispatcher. With an emu.Recording attached, every
+// block entry marks the block's code bytes fetched by its first
+// instruction. Returns the pending successor block
 // (nil when the dispatcher must look up EIP), or errBudget when limit
 // instructions have retired and more ops remain.
 func (e *Engine) execOps(b *block, start int, limit, stop uint64) (*block, uint64, uint64, error) {
@@ -324,6 +351,7 @@ func (e *Engine) execOps(b *block, start int, limit, stop uint64) (*block, uint6
 	// slow gates profile hits and trace sampling behind one predictable
 	// branch per op.
 	slow := c.ProfileEnabled() || (c.Trace != nil && c.TraceEvery != 0)
+	rec := c.Recording()
 	var ops []uop
 	var precise bool
 	var nb *block
@@ -333,6 +361,10 @@ func (e *Engine) execOps(b *block, start int, limit, stop uint64) (*block, uint6
 	chained := 0
 
 nextBlock:
+	if rec != nil && b.fetched != rec {
+		rec.Fetched(b.lo, b.hi, icount+1)
+		b.fetched = rec
+	}
 	ops = b.ops
 	// precise arms the per-op budget check only when this block could
 	// cross the limit; the common case runs the loop without it.

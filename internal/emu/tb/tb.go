@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"parallax/internal/chaos"
 	"parallax/internal/emu"
@@ -54,6 +55,10 @@ type block struct {
 	// aborts the block and retranslates — and chained pointers to it
 	// are abandoned on sight.
 	dead bool
+
+	// fetched is the emu.Recording that has marked [lo, hi) fetched:
+	// a mark is never undone, so later entries skip it.
+	fetched *emu.Recording
 }
 
 // Engine executes a CPU through translated blocks.
@@ -219,9 +224,19 @@ const (
 // every maxChainBlocks×pollChains block transitions regardless of
 // stride — the engine's equivalent of CPU.RunContext, returning the
 // same error types.
+//
+// With an emu.Recording attached, RunContext also takes its fork
+// points: at the first dispatcher boundary at or past each one's due
+// Icount, with flags materialized (chained execution stops there).
 func (e *Engine) RunContext(ctx context.Context) error {
 	c := e.cpu
 	defer e.materialize()
+	e.dropRecorded()
+	rec := c.Recording()
+	fork := uint64(math.MaxUint64) // Icount of the next fork point
+	if rec != nil {
+		fork = rec.NextFork()
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -242,6 +257,11 @@ func (e *Engine) RunContext(ctx context.Context) error {
 		if c.Icount >= limit {
 			return instLimitErr(c)
 		}
+		if c.Icount >= fork {
+			e.materialize()
+			rec.Fork()
+			fork = rec.NextFork()
+		}
 		if c.Icount >= next || chains >= pollChains {
 			if err := ctx.Err(); err != nil {
 				return &emu.DeadlineError{EIP: c.EIP, Icount: c.Icount, Err: err}
@@ -259,12 +279,14 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			return err
 		}
 		// Inner chain loop: follow block-to-block successors without
-		// touching the dispatch map until the next poll boundary.
-		// execChain consumes chained edges internally (at most
-		// maxChainBlocks per call); this loop turns over when a chain
-		// edge is still unlinked or the per-call chain budget ran out.
-		for b != nil && c.Icount < next && chains < pollChains {
-			nb, err := e.execChain(b, limit, next)
+		// touching the dispatch map until the next poll boundary or
+		// fork point. execChain consumes chained edges internally (at
+		// most maxChainBlocks per call); this loop turns over when a
+		// chain edge is still unlinked or the per-call chain budget ran
+		// out.
+		stop := min(next, fork)
+		for b != nil && c.Icount < stop && chains < pollChains {
+			nb, err := e.execChain(b, limit, stop)
 			chains++
 			if err == errBudget {
 				return instLimitErr(c)
@@ -291,6 +313,7 @@ func (e *Engine) Step() error {
 		return nil
 	}
 	defer e.materialize()
+	e.dropRecorded()
 	b, i := e.curB, e.curI
 	if b == nil || b.dead || i >= len(b.ops) || b.ops[i].pc != c.EIP ||
 		e.cpuVer != c.CodeVersion() {
