@@ -51,15 +51,18 @@ go test -race ./...
 # appends under the detector on the compact synthetic target (the
 # corpus sweep is too slow under the detector; see raceEnabled). The
 # -race pass also reconciles the farm's registry against its per-job
-# results under chaos (TestFarmReconciliation) and replays the
+# results under chaos (TestFarmReconciliation), replays the
 # incidental-read load-gadget regression at the gadget, compiler and
-# protect-then-run levels.
+# protect-then-run levels, and holds the incremental gadget rescan to a
+# full scan (TestRescanMatchesScan, TestProtectIncrementalScanIdentical):
+# rescanned catalogs share *Gadget values across passes and, through
+# the farm's cache, across jobs.
 echo "==> chaos smoke: seeded fault injection + checkpoint resume"
 go test -run 'TestChaosCampaignGraceful|TestCheckpoint' ./internal/campaign
 echo "==> chaos smoke (-race)"
 go test -race ./internal/chaos
-go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestGenProtectedMatchesBaseline' \
-    ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen
+go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical' \
+    ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen ./internal/core
 
 # Campaign-engine hard gate: run the same enumerated wget campaign
 # through all three execution configurations — interpreter
@@ -168,6 +171,8 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzDecode -fuzztime="$FUZZTIME" ./internal/x86
     echo "==> fuzz smoke: FuzzScan ($FUZZTIME)"
     go test -run='^$' -fuzz=FuzzScan -fuzztime="$FUZZTIME" ./internal/gadget
+    echo "==> fuzz smoke: FuzzRescan ($FUZZTIME)"
+    go test -run='^$' -fuzz=FuzzRescan -fuzztime="$FUZZTIME" ./internal/gadget
     echo "==> fuzz smoke: FuzzImageReadFrom ($FUZZTIME)"
     go test -run='^$' -fuzz=FuzzImageReadFrom -fuzztime="$FUZZTIME" ./internal/image
     echo "==> fuzz smoke: FuzzCheckpointJournal ($FUZZTIME)"

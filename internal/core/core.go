@@ -94,9 +94,13 @@ type Options struct {
 	// pipeline. It must be observationally identical to gadget.Scan
 	// (same catalog for the same image bytes) — the hook exists so
 	// batch drivers such as internal/farm can interpose a
-	// content-addressed cache. Nil means gadget.Scan. The returned
+	// content-addressed cache. Each call also receives the previous
+	// fixpoint pass's image and the catalog this hook returned for it
+	// (both nil on the first pass), so a scanner can rescan only the
+	// bytes that changed (gadget.Rescan). That image is discarded
+	// unmodified after the call. Nil means gadget.Rescan. The returned
 	// catalog must not be mutated by the scanner afterwards.
-	ScanFunc func(*image.Image, gadget.ScanConfig) *gadget.Catalog
+	ScanFunc func(img *image.Image, cfg gadget.ScanConfig, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog
 	// Hints seeds the link→scan→compile fixpoint with the converged
 	// sizes of a previous run. Correctness never depends on them: the
 	// fixpoint still verifies convergence, so wrong hints only cost
@@ -277,7 +281,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	}
 	scan := opts.ScanFunc
 	if scan == nil {
-		scan = gadget.Scan
+		scan = gadget.Rescan
 	}
 	var (
 		img     *image.Image
@@ -290,13 +294,14 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	rewriteSites := 0
 	for pass := 0; pass < maxPasses && !stable; pass++ {
 		var err error
+		prevImg := img
 		img, rewriteSites, err = buildProtectedObject(work, verify, frameWords, opts, cfgs,
 			chainLens, exitIdxs, offsLens, idxLens)
 		if err != nil {
 			return nil, err
 		}
 		opts.Obs.Stage("scan", func() {
-			catalog = scan(img, gadget.ScanConfig{})
+			catalog = scan(img, gadget.ScanConfig{}, prevImg, catalog)
 		})
 		env := &ropc.Env{
 			Catalog:    catalog,
@@ -451,13 +456,20 @@ func preferOverlap(img *image.Image, verify []string) func(*gadget.Gadget) bool 
 		}
 		spans = append(spans, span{s.Addr, s.Addr + s.Size})
 	}
-	return func(g *gadget.Gadget) bool {
-		for _, sp := range spans {
-			if g.Addr >= sp.lo && g.Addr < sp.hi {
-				return true
-			}
+	// The predicate runs per candidate gadget per chain instruction, so
+	// merge the spans (Funcs sorts them by address) into disjoint
+	// ranges once and binary-search them.
+	merged := spans[:0]
+	for _, sp := range spans {
+		if n := len(merged); n > 0 && sp.lo <= merged[n-1].hi {
+			merged[n-1].hi = max(merged[n-1].hi, sp.hi)
+		} else {
+			merged = append(merged, sp)
 		}
-		return false
+	}
+	return func(g *gadget.Gadget) bool {
+		i := sort.Search(len(merged), func(i int) bool { return merged[i].hi > g.Addr })
+		return i < len(merged) && merged[i].lo <= g.Addr
 	}
 }
 

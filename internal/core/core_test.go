@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parallax/internal/emu"
+	"parallax/internal/gadget"
 	"parallax/internal/image"
 	"parallax/internal/ir"
 	"parallax/internal/x86"
@@ -309,5 +310,37 @@ func TestChainRegistersPreserved(t *testing.T) {
 	cpu.Reg[x86.EDI] = 0xBEEF
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPreferOverlapSpans holds the binary-searched overlap predicate to
+// a linear walk over application-function spans, including nested,
+// overlapping, adjacent and empty functions, pool symbols and the
+// verification function's loader stub.
+func TestPreferOverlapSpans(t *testing.T) {
+	img := &image.Image{Symbols: []image.Symbol{
+		{Name: "a", Addr: 0x100, Size: 0x40},
+		{Name: "a_inner", Addr: 0x110, Size: 0x10},
+		{Name: "b", Addr: 0x130, Size: 0x30},
+		{Name: "c", Addr: 0x160, Size: 0x10},
+		{Name: "empty", Addr: 0x180, Size: 0},
+		{Name: "..parallax.pool", Addr: 0x190, Size: 0x20},
+		{Name: "vfy", Addr: 0x1B0, Size: 0x20},
+		{Name: "d", Addr: 0x1E0, Size: 0x8},
+		{Name: "data", Addr: 0x1F0, Size: 0x8, Kind: image.SymObject},
+	}}
+	linear := func(a uint32) bool {
+		for _, s := range img.Funcs() {
+			if !strings.HasPrefix(s.Name, "..") && s.Name != "vfy" && a >= s.Addr && a < s.Addr+s.Size {
+				return true
+			}
+		}
+		return false
+	}
+	prefer := preferOverlap(img, []string{"vfy"})
+	for a := uint32(0xF0); a < 0x200; a++ {
+		if got, want := prefer(&gadget.Gadget{Addr: a}), linear(a); got != want {
+			t.Errorf("preferOverlap(%#x) = %t, want %t", a, got, want)
+		}
 	}
 }

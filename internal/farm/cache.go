@@ -23,7 +23,10 @@ type key [sha256.Size]byte
 //   - gadget scan + classification, keyed by the executable section
 //     bytes (addresses included) and the scan parameters. Protecting
 //     the same text twice — a resubmitted job, or fixpoint passes that
-//     reproduce an earlier layout — pays for the scan once.
+//     reproduce an earlier layout — pays for the scan once. A miss is
+//     computed by gadget.Rescan against the job's previous fixpoint
+//     pass, so a later pass whose text differs in a few bytes decodes
+//     only the offsets those bytes can reach.
 //   - converged fixpoint layout sizes (core.Hints), keyed by the full
 //     job content (module text + options). A hint hit lets an
 //     identical job converge in a single link→scan→compile pass, which
@@ -66,8 +69,8 @@ func (c *Cache) Len() (scans, hints int) {
 // scanner returns a core.Options.ScanFunc that serves scans from the
 // cache, recording hits, misses and scan time into the farm's metrics
 // and hits and misses into the per-job tallies.
-func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.Injector) func(*image.Image, gadget.ScanConfig) *gadget.Catalog {
-	return func(img *image.Image, cfg gadget.ScanConfig) *gadget.Catalog {
+func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.Injector) func(*image.Image, gadget.ScanConfig, *image.Image, *gadget.Catalog) *gadget.Catalog {
+	return func(img *image.Image, cfg gadget.ScanConfig, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
 		k := scanKey(img, cfg)
 		c.mu.Lock()
 		e, ok := c.scans[k]
@@ -80,7 +83,10 @@ func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.I
 		e.once.Do(func() {
 			hit = false
 			start := time.Now()
-			e.cat = gadget.Scan(img, cfg)
+			// The diff base is the job's own previous-pass image, which
+			// core.Protect discards unmodified; a cached catalog's source
+			// image may be another job's, which Install later writes.
+			e.cat = gadget.Rescan(img, cfg, prevImg, prev)
 			m.scanNs.Add(uint64(time.Since(start).Nanoseconds()))
 		})
 		if hit && inj.ShouldNext(chaos.PointFarmCacheRead) {

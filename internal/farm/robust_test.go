@@ -144,15 +144,15 @@ func TestFarmInvalidJobs(t *testing.T) {
 
 // blockingScan returns a ScanFunc that signals entry and then blocks
 // until release is closed — a deterministic way to occupy a worker.
-func blockingScan(entered chan<- struct{}, release <-chan struct{}) func(*image.Image, gadget.ScanConfig) *gadget.Catalog {
+func blockingScan(entered chan<- struct{}, release <-chan struct{}) func(*image.Image, gadget.ScanConfig, *image.Image, *gadget.Catalog) *gadget.Catalog {
 	var once bool
-	return func(img *image.Image, cfg gadget.ScanConfig) *gadget.Catalog {
+	return func(img *image.Image, cfg gadget.ScanConfig, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
 		if !once {
 			once = true
 			entered <- struct{}{}
 			<-release
 		}
-		return gadget.Scan(img, cfg)
+		return gadget.Rescan(img, cfg, prevImg, prev)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestFarmPanicIsolation(t *testing.T) {
 
 	j, err := f.Submit(ctx, "panicky", p.Build(), core.Options{
 		VerifyFuncs: []string{p.VerifyFunc},
-		ScanFunc: func(*image.Image, gadget.ScanConfig) *gadget.Catalog {
+		ScanFunc: func(*image.Image, gadget.ScanConfig, *image.Image, *gadget.Catalog) *gadget.Catalog {
 			panic("injected stage failure")
 		},
 	})

@@ -20,3 +20,24 @@ func FuzzScan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRescan applies an edit list to arbitrary code — each three bytes
+// are a little-endian offset and a new value — and holds the
+// incremental rescan against the original scan to a full scan.
+func FuzzRescan(f *testing.F) {
+	f.Add([]byte{0x58, 0xC3, 0x01, 0xD8, 0xC3}, []byte{0, 0, 0xB8})
+	f.Add([]byte{0xB8, 0x58, 0xC3, 0x00, 0x00, 0xC3, 0x5B, 0xC3}, []byte{5, 0, 0x90, 0, 0, 0x0F})
+	f.Fuzz(func(t *testing.T, code, edits []byte) {
+		if len(code) == 0 {
+			return
+		}
+		const addr = 0x1000
+		prevImg := execImage(addr, code)
+		prev := Scan(prevImg, ScanConfig{})
+		c := append([]byte(nil), code...)
+		for ; len(edits) >= 3; edits = edits[3:] {
+			c[(int(edits[0])|int(edits[1])<<8)%len(c)] = edits[2]
+		}
+		checkRescan(t, "fuzz", execImage(addr, c), ScanConfig{}, prevImg, prev)
+	})
+}
