@@ -23,6 +23,7 @@ import (
 	"parallax/internal/codegen"
 	"parallax/internal/core"
 	"parallax/internal/corpus"
+	"parallax/internal/corpus/gen"
 	"parallax/internal/dyngen"
 	"parallax/internal/emu"
 	"parallax/internal/experiment"
@@ -207,23 +208,45 @@ func BenchmarkCampaignEngine(b *testing.B) {
 	b.ReportMetric(speedup, "speedup-x")
 }
 
-// BenchmarkGadgetScan measures the scanner over a protected text
-// section (every byte offset, six-instruction candidates).
+// BenchmarkGadgetScan measures the full scanner (every byte offset,
+// six-instruction candidates) over two text sections: gcc's, and the
+// protected text of the generated medium module whose cold protect
+// sets protect-batch's round time.
 func BenchmarkGadgetScan(b *testing.B) {
-	p, err := corpus.ByName("gcc")
-	if err != nil {
-		b.Fatal(err)
+	bench := func(b *testing.B, text *image.Section) {
+		b.SetBytes(int64(len(text.Data)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			gadget.ScanBytes(text.Data, text.Addr, gadget.ScanConfig{})
+		}
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	text := img.Text()
-	b.SetBytes(int64(len(text.Data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gadget.ScanBytes(text.Data, text.Addr, gadget.ScanConfig{})
-	}
+	b.Run("gcc", func(b *testing.B) {
+		p, err := corpus.ByName("gcc")
+		if err != nil {
+			b.Fatal(err)
+		}
+		img, err := codegen.Build(p.Build(), image.Layout{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, img.Text())
+	})
+	b.Run("gen-medium-s1", func(b *testing.B) {
+		fam, err := gen.FamilyByName("medium")
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := gen.FamilyProgram(fam, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prot, err := core.Protect(p.Build(), core.Options{VerifyFuncs: []string{p.VerifyFunc}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, prot.Image.Text())
+	})
 }
 
 // BenchmarkEmulator measures raw interpreter throughput

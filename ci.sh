@@ -170,9 +170,11 @@ if [[ "$FUZZTIME" != "0" ]]; then
     echo "==> fuzz smoke: FuzzDecode ($FUZZTIME)"
     go test -run='^$' -fuzz=FuzzDecode -fuzztime="$FUZZTIME" ./internal/x86
     echo "==> fuzz smoke: FuzzScan ($FUZZTIME)"
-    go test -run='^$' -fuzz=FuzzScan -fuzztime="$FUZZTIME" ./internal/gadget
+    go test -run='^$' -fuzz='^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/gadget
     echo "==> fuzz smoke: FuzzRescan ($FUZZTIME)"
     go test -run='^$' -fuzz=FuzzRescan -fuzztime="$FUZZTIME" ./internal/gadget
+    echo "==> fuzz smoke: FuzzScanNaive ($FUZZTIME)"
+    go test -run='^$' -fuzz=FuzzScanNaive -fuzztime="$FUZZTIME" ./internal/gadget
     echo "==> fuzz smoke: FuzzImageReadFrom ($FUZZTIME)"
     go test -run='^$' -fuzz=FuzzImageReadFrom -fuzztime="$FUZZTIME" ./internal/image
     echo "==> fuzz smoke: FuzzCheckpointJournal ($FUZZTIME)"

@@ -1,6 +1,9 @@
 package gadget
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzScan feeds arbitrary bytes to the scanner: no panics, and every
 // reported gadget must lie inside the buffer with a sane length.
@@ -17,6 +20,27 @@ func FuzzScan(f *testing.F) {
 			if g.Kind != KindOther && len(g.Insts) == 0 {
 				t.Fatalf("typed gadget without instructions: %v", g)
 			}
+		}
+	})
+}
+
+// FuzzScanNaive holds the decode-once scanner to the naive per-offset
+// oracle on arbitrary code under a configuration picked by c: bit 0
+// skips far returns, bits 1-3 set MaxInsts (0 is the default) and the
+// high nibble picks MaxBytes.
+func FuzzScanNaive(f *testing.F) {
+	f.Add([]byte{0x58, 0xC3, 0x01, 0xD8, 0xC3}, byte(0))
+	f.Add([]byte{0xB8, 0x58, 0xCB, 0x00, 0x00, 0xCB}, byte(0x31))
+	f.Fuzz(func(t *testing.T, code []byte, c byte) {
+		const base = 0x1000
+		cfg := ScanConfig{
+			SkipFar:  c&1 != 0,
+			MaxInsts: int(c >> 1 & 7),
+			MaxBytes: []int{0, 1, 5, 40, 300}[int(c>>4)%5],
+		}
+		got, want := ScanBytes(code, base, cfg), naiveScan(code, base, cfg)
+		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: scan differs from the naive scan (%d vs %d gadgets)", cfg, len(got), len(want))
 		}
 	})
 }

@@ -42,12 +42,24 @@ func ScanBytes(code []byte, base uint32, cfg ScanConfig) []*Gadget {
 // section's bytes at an earlier scan, and prev, the gadgets that scan
 // found, sorted by address. A gadget at offset off is a pure function
 // of base, code[off:off+MaxBytes] and len(code), so only the offsets
-// within MaxBytes before a changed byte are decoded again; every other
-// gadget of prev is reused as is. The Aligned bits come from a fresh
-// linear sweep, and a reused gadget whose bit flips is cloned rather
-// than mutated. A nil prevCode (a full scan) makes every offset dirty.
+// within MaxBytes before a changed byte are scanned again; every other
+// gadget of prev is reused as is. A nil prevCode (a full scan) makes
+// every offset dirty. Each dirty span is scanned through a reach
+// table that decodes every offset once (see reachTable). The Aligned
+// bits come from a fresh linear sweep, which on a full scan reads its
+// instruction lengths from that table; a reused gadget whose bit flips
+// is cloned rather than mutated.
 func scanSection(code []byte, base uint32, cfg ScanConfig, prevCode []byte, prev []*Gadget) []*Gadget {
-	aligned := alignedStarts(code, base)
+	var aligned []bool
+	if prevCode != nil {
+		aligned = alignedStarts(len(code), func(off int) int {
+			inst, err := x86.Decode(code[off:], base+uint32(off))
+			if err != nil {
+				return 0
+			}
+			return inst.Len
+		})
+	}
 	out := make([]*Gadget, 0, len(prev))
 	// keep reuses the gadgets of prev below offset end.
 	keep := func(end int) {
@@ -66,8 +78,13 @@ func scanSection(code []byte, base uint32, cfg ScanConfig, prevCode []byte, prev
 		for len(prev) > 0 && int(prev[0].Addr-base) < d.hi {
 			prev = prev[1:] // stale: rescanned below
 		}
+		t := newReachTable(code, base, d, cfg)
+		if aligned == nil {
+			// A full scan: the one span's table covers the section.
+			aligned = alignedStarts(len(code), t.instLen)
+		}
 		for off := d.lo; off < d.hi; off++ {
-			if g := scanAt(code, base, off, cfg); g != nil {
+			if g := t.gadget(code, base, off); g != nil {
 				g.Aligned = aligned[off]
 				out = append(out, g)
 			}
@@ -77,20 +94,91 @@ func scanSection(code []byte, base uint32, cfg ScanConfig, prevCode []byte, prev
 	return out
 }
 
-// alignedStarts marks the instruction starts of a linear sweep, so
-// gadgets can report whether they hide inside the instruction stream.
-func alignedStarts(code []byte, base uint32) []bool {
-	aligned := make([]bool, len(code))
-	for off := 0; off < len(code); {
+// alignedStarts marks the instruction starts of a linear sweep over n
+// bytes, so gadgets can report whether they hide inside the
+// instruction stream. instLen gives the length of the instruction
+// decoded at an offset, or 0 where decoding fails; the sweep steps one
+// byte past a failure.
+func alignedStarts(n int, instLen func(off int) int) []bool {
+	aligned := make([]bool, n)
+	for off := 0; off < n; off += max(instLen(off), 1) {
 		aligned[off] = true
-		inst, err := x86.Decode(code[off:], base+uint32(off))
-		if err != nil {
-			off++
-			continue
-		}
-		off += inst.Len
 	}
 	return aligned
+}
+
+// reachTable decodes each offset of one dirty span once. A gadget
+// candidate starting at off decodes along the fixed successor walk
+// pos -> pos+Len, because the instruction at pos depends only on pos;
+// so each offset's candidate follows from its own instruction and its
+// successor's entry. The table covers [lo, min(hi+MaxBytes, len(code)))
+// for a span [lo, hi), filled right to left.
+type reachTable struct {
+	lo    int
+	lens  []uint8 // instruction length at lo+i; 0 for a decode error
+	reach []reach
+}
+
+// reach is the walk from one offset up to and including its first
+// return: n instructions over b bytes, or n == 0 when the walk fails
+// first (a decode error, the section's end, a retf under SkipFar) or
+// exceeds MaxInsts or MaxBytes. b never exceeds the section's length,
+// which fits an address, and n never exceeds b.
+type reach struct{ n, b uint32 }
+
+// newReachTable decodes the offsets of span d.
+func newReachTable(code []byte, base uint32, d span, cfg ScanConfig) *reachTable {
+	end := min(d.hi+max(cfg.MaxBytes, 0), len(code))
+	t := &reachTable{lo: d.lo, lens: make([]uint8, end-d.lo), reach: make([]reach, end-d.lo)}
+	for p := end - 1; p >= d.lo; p-- {
+		i := p - d.lo
+		inst, err := x86.Decode(code[p:], base+uint32(p))
+		if err != nil {
+			continue
+		}
+		t.lens[i] = uint8(inst.Len)
+		var r reach
+		switch {
+		case inst.Op == x86.RETF && cfg.SkipFar:
+		case inst.Op == x86.RET || inst.Op == x86.RETF:
+			r = reach{1, uint32(inst.Len)}
+		case p+inst.Len < end:
+			// A walk whose next instruction starts at or past end
+			// has run past the section or past MaxBytes from every
+			// start in the span, so it has no gadget.
+			if next := t.reach[i+inst.Len]; next.n != 0 {
+				r = reach{next.n + 1, next.b + uint32(inst.Len)}
+			}
+		}
+		if int(r.n) <= cfg.MaxInsts && int(r.b) <= cfg.MaxBytes {
+			t.reach[i] = r
+		}
+	}
+	return t
+}
+
+// instLen returns the length of the instruction at offset off, or 0
+// where decoding fails.
+func (t *reachTable) instLen(off int) int { return int(t.lens[off-t.lo]) }
+
+// gadget returns the classified gadget starting at offset off, or nil.
+// Only an offset whose walk reaches a return decodes again, into a
+// slice of exactly its instruction count.
+func (t *reachTable) gadget(code []byte, base uint32, off int) *Gadget {
+	r := t.reach[off-t.lo]
+	if r.n == 0 {
+		return nil
+	}
+	g := &Gadget{Addr: base + uint32(off), Len: int(r.b), Insts: make([]x86.Inst, r.n)}
+	for k, pos := 0, off; k < len(g.Insts); k++ {
+		// The table decoded every offset of this walk without error.
+		g.Insts[k], _ = x86.Decode(code[pos:], base+uint32(pos))
+		pos += g.Insts[k].Len
+	}
+	if !classify(g) {
+		return nil
+	}
+	return g
 }
 
 // span is a half-open offset range [lo, hi).
@@ -117,41 +205,6 @@ func dirtySpans(code, prev []byte, maxBytes int) []span {
 		}
 	}
 	return out
-}
-
-// scanAt decodes a gadget candidate starting at offset off.
-func scanAt(code []byte, base uint32, off int, cfg ScanConfig) *Gadget {
-	var insts []x86.Inst
-	pos := off
-	for len(insts) < cfg.MaxInsts {
-		if pos-off >= cfg.MaxBytes || pos >= len(code) {
-			return nil
-		}
-		inst, err := x86.Decode(code[pos:], base+uint32(pos))
-		if err != nil {
-			return nil
-		}
-		if pos-off+inst.Len > cfg.MaxBytes {
-			return nil
-		}
-		insts = append(insts, inst)
-		pos += inst.Len
-		if inst.Op == x86.RET || inst.Op == x86.RETF {
-			if inst.Op == x86.RETF && cfg.SkipFar {
-				return nil
-			}
-			g := &Gadget{
-				Addr:  base + uint32(off),
-				Len:   pos - off,
-				Insts: insts,
-			}
-			if !classify(g) {
-				return nil
-			}
-			return g
-		}
-	}
-	return nil
 }
 
 // Scan finds and indexes all gadgets in an image's executable sections.

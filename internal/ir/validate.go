@@ -5,19 +5,19 @@ import "fmt"
 // Validate checks module well-formedness: unique names, resolvable
 // block/function/global references, and value indices within range.
 func Validate(m *Module) error {
-	funcNames := make(map[string]bool, len(m.Funcs))
+	funcs := make(map[string]*Func, len(m.Funcs))
 	for _, f := range m.Funcs {
-		if funcNames[f.Name] {
+		if funcs[f.Name] != nil {
 			return fmt.Errorf("ir: duplicate function %q", f.Name)
 		}
-		funcNames[f.Name] = true
+		funcs[f.Name] = f
 	}
 	globalNames := make(map[string]bool, len(m.Globals))
 	for _, g := range m.Globals {
 		if globalNames[g.Name] {
 			return fmt.Errorf("ir: duplicate global %q", g.Name)
 		}
-		if funcNames[g.Name] {
+		if funcs[g.Name] != nil {
 			return fmt.Errorf("ir: global %q collides with a function", g.Name)
 		}
 		globalNames[g.Name] = true
@@ -26,21 +26,21 @@ func Validate(m *Module) error {
 				g.Name, g.Size, len(g.Init))
 		}
 	}
-	if m.Entry != "" && !funcNames[m.Entry] {
+	if m.Entry != "" && funcs[m.Entry] == nil {
 		return fmt.Errorf("ir: entry function %q not defined", m.Entry)
 	}
 	for _, e := range m.Externs {
 		globalNames[e] = true
 	}
 	for _, f := range m.Funcs {
-		if err := validateFunc(m, f, funcNames, globalNames); err != nil {
+		if err := validateFunc(f, funcs, globalNames); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func validateFunc(m *Module, f *Func, funcs, globals map[string]bool) error {
+func validateFunc(f *Func, funcs map[string]*Func, globals map[string]bool) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("ir: %s: no blocks", f.Name)
 	}
@@ -54,92 +54,93 @@ func validateFunc(m *Module, f *Func, funcs, globals map[string]bool) error {
 		}
 		blocks[b.Name] = true
 	}
-	checkVal := func(v Value, what string) error {
-		if int(v) < 0 || int(v) >= f.NumVals {
-			return fmt.Errorf("ir: %s: %s value %v out of range [0,%d)", f.Name, what, v, f.NumVals)
-		}
-		return nil
+	bad := func(v Value) bool { return int(v) < 0 || int(v) >= f.NumVals }
+	valErr := func(v Value, what string) error {
+		return fmt.Errorf("ir: %s: %s value %v out of range [0,%d)", f.Name, what, v, f.NumVals)
 	}
-	for _, b := range f.Blocks {
-		for i, in := range b.Insts {
-			where := fmt.Sprintf("%s.%s[%d]", f.Name, b.Name, i)
+	// where formats the location of instruction i of block b; it runs
+	// only on the way to an error.
+	var b *Block
+	var i int
+	where := func() string { return fmt.Sprintf("%s.%s[%d]", f.Name, b.Name, i) }
+	for _, b = range f.Blocks {
+		for i = range b.Insts {
+			in := &b.Insts[i]
 			switch in.Kind {
 			case OpConst:
-				if err := checkVal(in.Dst, where+" dst"); err != nil {
-					return err
+				if bad(in.Dst) {
+					return valErr(in.Dst, where()+" dst")
 				}
 			case OpBin, OpCmp:
 				for _, v := range []Value{in.Dst, in.A, in.B} {
-					if err := checkVal(v, where); err != nil {
-						return err
+					if bad(v) {
+						return valErr(v, where())
 					}
 				}
 			case OpNot, OpNeg, OpCopy, OpLoad, OpLoad8:
 				for _, v := range []Value{in.Dst, in.A} {
-					if err := checkVal(v, where); err != nil {
-						return err
+					if bad(v) {
+						return valErr(v, where())
 					}
 				}
 			case OpStore, OpStore8:
 				for _, v := range []Value{in.A, in.B} {
-					if err := checkVal(v, where); err != nil {
-						return err
+					if bad(v) {
+						return valErr(v, where())
 					}
 				}
 			case OpAddr:
-				if err := checkVal(in.Dst, where+" dst"); err != nil {
-					return err
+				if bad(in.Dst) {
+					return valErr(in.Dst, where()+" dst")
 				}
 				if !globals[in.Global] {
-					return fmt.Errorf("ir: %s: undefined global %q", where, in.Global)
+					return fmt.Errorf("ir: %s: undefined global %q", where(), in.Global)
 				}
 			case OpCall:
-				if err := checkVal(in.Dst, where+" dst"); err != nil {
-					return err
+				if bad(in.Dst) {
+					return valErr(in.Dst, where()+" dst")
 				}
-				if !funcs[in.Callee] {
-					return fmt.Errorf("ir: %s: undefined callee %q", where, in.Callee)
+				callee := funcs[in.Callee]
+				if callee == nil {
+					return fmt.Errorf("ir: %s: undefined callee %q", where(), in.Callee)
 				}
-				callee := m.Func(in.Callee)
-				if callee != nil && len(in.Args) != callee.NumParams {
+				if len(in.Args) != callee.NumParams {
 					return fmt.Errorf("ir: %s: call %s with %d args, want %d",
-						where, in.Callee, len(in.Args), callee.NumParams)
+						where(), in.Callee, len(in.Args), callee.NumParams)
 				}
 				for _, a := range in.Args {
-					if err := checkVal(a, where+" arg"); err != nil {
-						return err
+					if bad(a) {
+						return valErr(a, where()+" arg")
 					}
 				}
 			case OpSyscall:
-				if err := checkVal(in.Dst, where+" dst"); err != nil {
-					return err
+				if bad(in.Dst) {
+					return valErr(in.Dst, where()+" dst")
 				}
 				if len(in.Args) > 5 {
-					return fmt.Errorf("ir: %s: syscall with %d args (max 5)", where, len(in.Args))
+					return fmt.Errorf("ir: %s: syscall with %d args (max 5)", where(), len(in.Args))
 				}
 				for _, a := range in.Args {
-					if err := checkVal(a, where+" arg"); err != nil {
-						return err
+					if bad(a) {
+						return valErr(a, where()+" arg")
 					}
 				}
 			default:
-				return fmt.Errorf("ir: %s: unknown instruction kind %d", where, in.Kind)
+				return fmt.Errorf("ir: %s: unknown instruction kind %d", where(), in.Kind)
 			}
 		}
 		switch b.Term.Kind {
 		case TermRet:
-			if b.Term.HasVal {
-				if err := checkVal(b.Term.Val, f.Name+"."+b.Name+" ret"); err != nil {
-					return err
-				}
+			if b.Term.HasVal && bad(b.Term.Val) {
+				return valErr(b.Term.Val, f.Name+"."+b.Name+" ret")
 			}
 		case TermJmp:
 			if !blocks[b.Term.Then] {
 				return fmt.Errorf("ir: %s.%s: jmp to undefined block %q", f.Name, b.Name, b.Term.Then)
 			}
 		case TermBr:
-			if err := checkVal(b.Term.Val, f.Name+"."+b.Name+" br cond"); err != nil {
-				return err
+			if bad(b.Term.Val) {
+				return valErr(b.Term.Val, f.Name+"."+b.Name+" br cond")
 			}
 			for _, t := range []string{b.Term.Then, b.Term.Else} {
 				if !blocks[t] {
