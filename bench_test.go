@@ -177,14 +177,15 @@ func BenchmarkFarmThroughput(b *testing.B) {
 	b.ReportMetric(100*st.ScanHitRate(), "scan-hit-%")
 }
 
-// BenchmarkCampaignEngine compares the tamper campaign's two mutant
-// execution engines on the wget corpus program: clone+reload per
-// mutant versus one snapshotted emulator per worker restored between
-// mutants. Reported metrics are each path's wall time and the
-// reload/snapshot speedup; the benchmark fails if the detection
-// matrices diverge.
+// BenchmarkCampaignEngine compares the tamper campaign's two execution
+// paths on the wget corpus program: the reference path (interpreter,
+// clone+reload per mutant) and the production path (tb, one
+// snapshotted emulator per worker restored between mutants, fork
+// points, shared translation catalog). Reported metrics are each
+// path's wall time and the reference/production speedup; the
+// benchmark fails if the detection matrices diverge.
 func BenchmarkCampaignEngine(b *testing.B) {
-	var reloadSec, snapSec, speedup float64
+	var reloadSec, tbSec, speedup float64
 	for i := 0; i < b.N; i++ {
 		rows, err := experiment.CampaignEngines(context.Background(), nil, campaign.Config{
 			Stride:     5,
@@ -196,15 +197,15 @@ func BenchmarkCampaignEngine(b *testing.B) {
 		}
 		for _, r := range rows {
 			if !r.MatrixEqual {
-				b.Fatalf("%s: detection matrices diverged between engines", r.Program)
+				b.Fatalf("%s: detection matrices diverged between paths", r.Program)
 			}
 			reloadSec += r.ReloadSeconds
-			snapSec += r.SnapSeconds
+			tbSec += r.TBSeconds
 			speedup = r.Speedup
 		}
 	}
 	b.ReportMetric(reloadSec/float64(b.N), "reload-s/op")
-	b.ReportMetric(snapSec/float64(b.N), "snap-s/op")
+	b.ReportMetric(tbSec/float64(b.N), "tb-s/op")
 	b.ReportMetric(speedup, "speedup-x")
 }
 

@@ -64,51 +64,52 @@ go test -race ./internal/chaos
 go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical' \
     ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen ./internal/core
 
-# Campaign-engine hard gate: run the same enumerated wget campaign
-# through all three execution configurations — interpreter
-# clone+reload, interpreter snapshot/restore, and the default tb engine
-# with the campaign-wide shared translation catalog. The detection
-# matrices must be byte-identical across all three (the experiment
-# itself exits non-zero and the IDENTICAL grep double-checks), and the
-# default configuration must be at least as fast as reloading per
-# mutant. Per-mutant time is dominated by emulation, so the speed check
-# allows 10% of wall-clock noise rather than failing on scheduler
-# jitter; column 6 is reload-over-tb.
-echo "==> campaign-engine gate (tb + shared catalog vs interp, byte-identical matrices)"
+# Campaign-engine hard gate: run the same enumerated wget campaign on
+# the campaign's two execution paths — the reference path (interpreter,
+# clone+reload per mutant) and the production path (tb, snapshot/restore,
+# fork points, the campaign-wide shared translation catalog). The
+# detection matrices must be byte-identical (the experiment itself exits
+# non-zero and the IDENTICAL grep double-checks), and the production
+# path must be at least as fast as the reference path. Per-mutant time
+# is dominated by emulation, so the speed check allows 10% of wall-clock
+# noise rather than failing on scheduler jitter; the speedup column
+# (reference over production) is found by its header name.
+echo "==> campaign-engine gate (production vs reference path, byte-identical matrices)"
 engine_out=$(go run ./cmd/parallax-bench -experiment campaign-engine -progs wget -mutants 96)
 echo "$engine_out"
 if ! grep -q "IDENTICAL" <<<"$engine_out"; then
-    echo "FAIL: campaign engines produced divergent detection matrices" >&2
+    echo "FAIL: campaign paths produced divergent detection matrices" >&2
     exit 1
 fi
-speedup=$(awk '/^wget / {gsub(/x$/,"",$6); print $6}' <<<"$engine_out")
+speedup=$(awk '$1 == "program" { for (i = 1; i <= NF; i++) if ($i == "speedup") col = i }
+               col && $1 == "wget" { v = $col; gsub(/x$/, "", v); print v }' <<<"$engine_out")
 if [[ -z "$speedup" ]] || awk -v s="$speedup" 'BEGIN { exit !(s < 0.90) }'; then
-    echo "FAIL: tb engine slower than interp clone+reload (speedup ${speedup:-unparsed}x)" >&2
+    echo "FAIL: production path slower than the reference path (speedup ${speedup:-unparsed}x)" >&2
     exit 1
 fi
 
 # Shared-catalog race smoke: the catalog's concurrent adopt/install
-# paths across 4 campaign workers (plus the SMC and reload variants)
-# under the detector, and the fork-point differentials: the clean run
-# recorded on tb into the shared catalog, workers adopting its
-# translations and resuming mutants from the recording, each mutant
-# held to the clone+reload full replay (TestForkDifferentialDense at
-# every byte), plus the tb recorder's own tests (TestRecording*).
+# paths across 4 campaign workers (plus the SMC variant) under the
+# detector, and the fork-point differentials: the clean run recorded on
+# tb into the shared catalog, workers adopting its translations and
+# resuming mutants from the recording, each mutant held to the
+# reference path's full replay (TestForkDifferentialDense at every
+# byte), plus the tb recorder's own tests (TestRecording*).
 echo "==> shared-catalog smoke (-race)"
 go test -race -run 'TestDifferentialEngines|TestCatalog|TestFork|TestRecording' \
     ./internal/campaign ./internal/emu/tb
 
 # Corpus-at-scale smoke: a trimmed generated-family sweep (8 programs,
 # all stages — generate, invariant-check, baseline, protect, campaign —
-# with the cross-engine matrix-fingerprint hard gate inside CorpusSweep)
-# plus the engine table on the 160 KiB family. IDENTICAL is the hard
-# gate here too; at smoke scale BENCH_corpus.json is left untouched
+# with the reference-path matrix-fingerprint hard gate inside
+# CorpusSweep) plus the two-path table (reference vs production) on the
+# 160 KiB family. IDENTICAL is the hard gate here too; at smoke scale BENCH_corpus.json is left untouched
 # (only full-scale `-experiment corpus` runs record it).
 echo "==> corpus smoke: generated-family sweep (-n 8)"
 corpus_out=$(go run ./cmd/parallax-bench -experiment corpus -n 8)
 echo "$corpus_out"
 if ! grep -q "IDENTICAL" <<<"$corpus_out"; then
-    echo "FAIL: corpus engine table produced divergent detection matrices" >&2
+    echo "FAIL: corpus path table produced divergent detection matrices" >&2
     exit 1
 fi
 
@@ -134,9 +135,10 @@ go run ./cmd/parallax-bench -experiment fanout -jobs 64 -unique 8 -workers 2,4
 # The -race variant replays the cold-coverage campaign machinery (the
 # four-cell sweep is too slow under the detector; the fan-out smoke
 # exercises the farm's concurrency instead) over the composed
-# differential test, which pins engine-identical classification on a
-# composed image under the heavy workload with 4 workers.
-echo "==> composed-engine smoke (-race)"
+# differential test, which holds the production path (private caches
+# and shared catalog, 4 workers) to the reference path's classification
+# on a composed image under the heavy workload.
+echo "==> composed-path smoke (-race)"
 go test -race -run 'TestDifferentialEnginesComposed|TestFarmFanoutSmoke' \
     ./internal/campaign ./internal/experiment
 

@@ -10,7 +10,7 @@
 //	parallax-bench -experiment prob      probabilistic variant counts (§V-B)
 //	parallax-bench -experiment farm      batch-protection throughput + cache hit rate
 //	parallax-bench -experiment campaign  tamper-campaign detection matrix
-//	parallax-bench -experiment campaign-engine  tb + shared catalog vs interp mutant execution
+//	parallax-bench -experiment campaign-engine  production path (tb) vs reference path (interp)
 //	parallax-bench -experiment obs       protect-pipeline per-stage timing (internal/obs)
 //	parallax-bench -experiment difftest  differential-oracle engine throughput + divergence gate
 //	parallax-bench -experiment corpus    generated-corpus sweep: detection/overhead distributions
@@ -63,7 +63,6 @@ type benchFlags struct {
 	progs    string
 	mutants  int
 	n        int
-	engine   string
 	seeds    int
 	checkers int
 	families string
@@ -103,7 +102,7 @@ var registry = []experimentDef{
 	{"campaign-engine", false, func(f benchFlags) error { return campaignEngineExperiment(f.progs, f.mutants) }},
 	{"obs", false, func(f benchFlags) error { return obsExperiment(f.progs) }},
 	{"difftest", false, func(f benchFlags) error { return difftestExperiment(f.progs, f.tbOut) }},
-	{"corpus", false, func(f benchFlags) error { return corpusExperiment(f.n, f.engine) }},
+	{"corpus", false, func(f benchFlags) error { return corpusExperiment(f.n) }},
 	{"coldcover", false, func(f benchFlags) error {
 		mutants := 0 // ColdCoverOptions default
 		if f.mutantsSet {
@@ -134,8 +133,6 @@ func main() {
 	flag.IntVar(&f.mutants, "mutants", 512,
 		"mutant budget for -experiment campaign-engine and coldcover (coldcover default: 96)")
 	flag.IntVar(&f.n, "n", 105, "program budget for -experiment corpus")
-	flag.StringVar(&f.engine, "engine", "tb",
-		"campaign execution engine for -experiment corpus (tb|interp)")
 	flag.IntVar(&f.seeds, "seeds", 5, "seeds per family for -experiment coldcover")
 	flag.IntVar(&f.checkers, "checkers", 4, "composed checksum-network size for -experiment coldcover")
 	flag.StringVar(&f.families, "families", "",
@@ -647,45 +644,51 @@ func campaignExperiment(progs string) error {
 	return nil
 }
 
-// campaignEngineExperiment compares the campaign's execution
-// configurations — interpreter clone+reload, interpreter
-// snapshot/restore, and the default tb engine with the shared
-// translation catalog — on the same enumerated mutant set. Matrices
+// campaignEngineExperiment compares the campaign's two execution
+// paths — the reference path (interpreter, clone+reload per mutant)
+// and the production path (tb, snapshot/restore, fork points, shared
+// translation catalog) — on the same enumerated mutant set. Matrices
 // must be byte-identical; wall-clock speedups are host-dependent.
 func campaignEngineExperiment(progs string, mutants int) error {
-	header("campaign-engine — tb + shared catalog vs interp snapshot vs clone+reload")
+	header("campaign-engine — production path (tb) vs reference path (interp clone+reload)")
 	var names []string
 	for _, n := range strings.Split(progs, ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			names = append(names, n)
 		}
 	}
+	// The wall-clock watchdog sits far above any mutant's MaxInst run
+	// on either engine, so the instruction budget alone decides every
+	// timeout cell: a loaded host slows the interpreter's reference leg
+	// several times more than tb, and a 2 s default would classify the
+	// same mutant differently on the two paths.
 	rows, err := experiment.CampaignEngines(context.Background(), names, campaign.Config{
 		Stride:     3,
 		MaxMutants: mutants,
 		MaxInst:    20_000_000,
+		Timeout:    time.Minute,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %8s %10s %10s %10s %9s %9s %7s %10s\n",
-		"program", "mutants", "reload s", "snap s", "tb s", "speedup", "tb-gain", "cat-hit", "matrix")
+	fmt.Printf("%-8s %8s %10s %10s %9s %7s %10s\n",
+		"program", "mutants", "reload-s", "tb-s", "speedup", "cat-hit", "matrix")
 	for _, r := range rows {
 		eq := "IDENTICAL"
 		if !r.MatrixEqual {
 			eq = "DIVERGED"
 		}
-		fmt.Printf("%-8s %8d %10.3f %10.3f %10.3f %8.2fx %8.2fx %6.1f%% %10s\n",
-			r.Program, r.Mutants, r.ReloadSeconds, r.SnapSeconds, r.TBSeconds,
-			r.Speedup, r.TBSpeedup, 100*r.CatalogHitRate, eq)
+		fmt.Printf("%-8s %8d %10.3f %10.3f %8.2fx %6.1f%% %10s\n",
+			r.Program, r.Mutants, r.ReloadSeconds, r.TBSeconds,
+			r.Speedup, 100*r.CatalogHitRate, eq)
 		if !r.MatrixEqual {
-			return fmt.Errorf("campaign-engine: %s detection matrices diverged between configurations", r.Program)
+			return fmt.Errorf("campaign-engine: %s detection matrices diverged between paths", r.Program)
 		}
 	}
-	fmt.Println("\nspeedup = interp clone+reload over tb; tb-gain = interp snapshot over tb.")
+	fmt.Println("\nspeedup = reference path (interp clone+reload) over production path (tb).")
 	fmt.Println("cat-hit = catalog adoptions over block lookups: mutants re-translate only")
 	fmt.Println("the blocks their patch touched and adopt the rest from other workers.")
-	fmt.Println("Classifications are differentially tested to match across all three.")
+	fmt.Println("Classifications are differentially tested to match on both paths.")
 	return nil
 }
 
@@ -726,20 +729,20 @@ func difftestExperiment(progs, out string) error {
 // corpusExperiment is the corpus-at-scale sweep: n generated programs
 // (families × seeds, 16 KiB–4 MiB) through protect → tamper → detect,
 // aggregated into p10/p50/p90 distributions — the Figure 5/6 analogues
-// measured over a population — plus the interp-vs-tb engine table on
-// the big images. Detection rates, overheads and matrix fingerprints
-// come from deterministic machinery (re-running reproduces them bit
-// for bit, on either engine); only the *seconds columns vary by host.
-func corpusExperiment(n int, engine string) error {
-	header(fmt.Sprintf("corpus — generated-family sweep (n=%d, engine=%s)", n, engine))
+// measured over a population — plus the reference-vs-production path
+// table on the big images. Detection rates, overheads and matrix
+// fingerprints come from deterministic machinery (re-running
+// reproduces them bit for bit, on either path); only the *seconds
+// columns vary by host.
+func corpusExperiment(n int) error {
+	header(fmt.Sprintf("corpus — generated-family sweep (n=%d)", n))
 	// Below full scale (the ci.sh smoke runs -n 8) the sweep still
 	// exercises every stage and every hard gate, but the recorded
-	// BENCH_corpus.json is left to full-scale runs and the engine table
+	// BENCH_corpus.json is left to full-scale runs and the path table
 	// skips the minutes-scale MiB families.
 	full := n == 0 || n >= 100
 	rep, err := experiment.CorpusSweep(context.Background(), experiment.CorpusOptions{
-		N:      n,
-		Engine: emu.Engine(engine),
+		N: n,
 		Progress: func(done, total int, name string) {
 			fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-24s", done, total, name)
 			if done == total {
@@ -764,10 +767,10 @@ func corpusExperiment(n int, engine string) error {
 			dist(f.ColdDetectedRate, 100), dist(f.OverheadPct, 1),
 			f.ProtectSeconds.P50)
 	}
-	fmt.Printf("\nengine cross-checks: %d matrices re-derived under the other engine, all identical\n",
+	fmt.Printf("\npath cross-checks: %d matrices re-derived on the reference path, all identical\n",
 		rep.CrossChecks)
 
-	fmt.Println("\nengine table on generated images (interp reload / interp snap / tb snap):")
+	fmt.Println("\npath table on generated images (reference: interp reload / production: tb snap):")
 	var engineFams []string // nil = small/medium/huge
 	if !full {
 		engineFams = []string{"small"}
@@ -776,18 +779,18 @@ func corpusExperiment(n int, engine string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %9s %8s %10s %10s %10s %9s %9s %10s\n",
-		"family", "text", "mutants", "reload s", "snap s", "tb s", "snap-up", "tb-up", "matrix")
+	fmt.Printf("%-8s %9s %8s %10s %10s %9s %7s %10s\n",
+		"family", "text", "mutants", "reload-s", "tb-s", "speedup", "cat-hit", "matrix")
 	for _, r := range engRows {
 		eq := "IDENTICAL"
 		if !r.MatrixEqual {
 			eq = "DIVERGED"
 		}
-		fmt.Printf("%-8s %9d %8d %10.3f %10.3f %10.3f %8.2fx %8.2fx %10s\n",
+		fmt.Printf("%-8s %9d %8d %10.3f %10.3f %8.2fx %6.1f%% %10s\n",
 			r.Family, r.TextBytes, r.Mutants, r.InterpReloadSeconds,
-			r.InterpSnapSeconds, r.TBSnapSeconds, r.SnapSpeedup, r.TBSpeedup, eq)
+			r.TBSnapSeconds, r.Speedup, 100*r.CatalogHitRate, eq)
 		if !r.MatrixEqual {
-			return fmt.Errorf("corpus: %s detection matrices diverged between engines", r.Family)
+			return fmt.Errorf("corpus: %s detection matrices diverged between paths", r.Family)
 		}
 	}
 
@@ -799,7 +802,7 @@ func corpusExperiment(n int, engine string) error {
 		fmt.Println("\nsmoke scale (n < 100): BENCH_corpus.json left to full-scale runs")
 	}
 	fmt.Println("\ndetection columns are deterministic per (family, seed, params-hash);")
-	fmt.Println("seconds columns are host wall clock. The snapshot and tb wins grow with")
+	fmt.Println("seconds columns are host wall clock. The production path's win grows with")
 	fmt.Println("image size relative to workload length — see EXPERIMENTS.md for the")
 	fmt.Println("distribution discussion and where each effect appears or vanishes.")
 	return nil
@@ -807,7 +810,7 @@ func corpusExperiment(n int, engine string) error {
 
 // writeBenchCorpus records the sweep machine-readably: every program
 // record (seed + params hash + matrix fingerprint), the per-family
-// percentile distributions, and the big-image engine table.
+// percentile distributions, and the big-image path table.
 func writeBenchCorpus(rep *experiment.CorpusReport, engines []experiment.CorpusEngineRow) error {
 	out := struct {
 		*experiment.CorpusReport
@@ -873,7 +876,7 @@ func coldcoverExperiment(families string, seeds, checkers, mutants int) error {
 			dist(f.ColdIdleComposed), dist(f.ColdHeavyComposed),
 			f.CoveredPct.P50, f.ComposedOverheadPct.P50)
 	}
-	fmt.Printf("\nengine cross-checks: %d heavy/composed matrices re-derived under the other engine, all identical\n",
+	fmt.Printf("\npath cross-checks: %d heavy/composed matrices re-derived on the reference path, all identical\n",
 		rep.CrossChecks)
 
 	// Gate 1: on the plain image the workload must actually change the

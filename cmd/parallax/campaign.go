@@ -29,10 +29,9 @@ func cmdCampaign(args []string) error {
 	maxInst := fs.Uint64("max", 20_000_000, "per-mutant instruction budget")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-mutant wall-clock watchdog")
 	kindsFlag := fs.String("kinds", "", "mutation kinds, comma-separated: bitflip,byteset,nopsweep,serial (default all)")
-	reuseVM := fs.Bool("reuse-vm", true, "reuse one emulator per worker via snapshot/restore (false = clone+reload per mutant)")
+	reuseVM := fs.Bool("reuse-vm", true, "production path: tb, one snapshot/restore emulator per worker, fork points, shared catalog (false = reference path: interpreter, clone+reload per mutant)")
 	metrics := fs.Bool("metrics", false, "collect pipeline/emulator/farm metrics and print them after the matrix")
 	metricsFormat := fs.String("metrics-format", "json", "metrics output format: json|table")
-	engine := engineFlag(fs, "mutant execution")
 	checkpoint := fs.String("checkpoint", "", "append-only resume journal: a killed campaign re-run with the same flags and journal resumes where it stopped")
 	chaosSpec := fs.String("chaos", "", "fault-injection plan, comma-separated point:prob[:count[:delay]] entries (e.g. campaign.mutant:0.05,emu.budget:0.01:4)")
 	chaosSeed := fs.Uint64("chaos-seed", 1, "seed for the deterministic fault-injection plan")
@@ -57,10 +56,6 @@ func cmdCampaign(args []string) error {
 
 	if *metricsFormat != "json" && *metricsFormat != "table" {
 		return usagef("bad -metrics-format %q (want json|table)", *metricsFormat)
-	}
-	eng, err := parseEngine(*engine)
-	if err != nil {
-		return err
 	}
 
 	// With -metrics the protection runs through a one-shot farm so the
@@ -116,7 +111,6 @@ func cmdCampaign(args []string) error {
 		Stdin:      stdin,
 		Obs:        reg,
 		Reload:     !*reuseVM,
-		Engine:     eng,
 		Chaos:      inj,
 		Checkpoint: *checkpoint,
 	})

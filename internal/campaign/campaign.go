@@ -60,32 +60,30 @@ type Config struct {
 	Kinds []Kind
 	// Stdin is the workload fed to every run, clean and mutated.
 	Stdin []byte
-	// Reload selects the reference execution path: a full image clone
-	// + emulator load per mutant, every mutant replayed from the entry
-	// point, and no recording of the clean run. It is the independent
-	// oracle: the differential tests hold the default path
-	// classification-identical to it. The zero value uses the
-	// snapshot/restore engine: each worker loads the image once and
-	// rewinds dirty pages between mutants, and each mutant resumes from
-	// the last fork point of the clean run, recorded on tb, before it
-	// first touches a mutated byte (see fork.go). KindSerial mutants
-	// always take the loader path; on the snapshot path those whose
-	// section layout and entry point match the base image resume from a
-	// fork point too.
+	// Reload selects the execution path, and with it the engine. True
+	// is the reference path: the interpreter, a full image clone +
+	// emulator load per mutant, every mutant replayed from the entry
+	// point, no recording of the clean run and no translation catalog.
+	// It is the independent oracle: the differential tests hold the
+	// production path classification-identical to it. The zero value is
+	// the production path: the translation-block engine (internal/emu/tb)
+	// with the campaign's shared catalog. Each worker loads the image
+	// once, keeps one persistent tb engine and rewinds dirty pages
+	// between mutants, and each mutant resumes from the last fork point
+	// of the clean run, recorded on tb, before it first touches a mutated
+	// byte (see fork.go). KindSerial mutants always take the loader path;
+	// on the production path those whose section layout and entry point
+	// match the base image resume from a fork point too.
 	Reload bool
 	// MemBudget / StackSize bound each mutant's emulator (0 =
 	// defaults).
 	MemBudget uint64
 	StackSize uint32
-	// Engine selects the execution backend for every mutant run and
-	// the Reload path's clean run: "" or emu.Interp is the interpreter,
-	// emu.TB the translation-block engine. The snapshot path records
-	// its clean run on tb whatever the engine, since tb is the
-	// recorder's only feed; the engines agree instruction for
-	// instruction, so the result is the same. On the snapshot/restore
-	// path each worker keeps one persistent tb engine, so translations
-	// of the unmutated pages stay warm across mutants (Restore's page
-	// copy-back invalidates exactly the translations a mutant dirtied).
+	// Engine selects nothing: each path runs one engine, emu.Interp on
+	// the reference path and emu.TB on the production path. "" or the
+	// path's own engine is accepted; any other value makes Run fail
+	// before the clean run. The field remains only because perfbench/
+	// still sets it.
 	Engine emu.Engine
 	// Obs, when non-nil, accumulates campaign activity into a shared
 	// metrics registry: per-class outcome counters
@@ -107,14 +105,14 @@ type Config struct {
 	Checkpoint string
 
 	// cat is the campaign's shared translation catalog, created by
-	// withDefaults when Engine is "tb" and threaded to the clean run
-	// and every worker engine on both execution paths. A one-byte
-	// mutant re-translates only the blocks its patch touched; the
-	// other ~99% are adopted from whichever worker translated them
-	// first (see internal/emu/tb's catalog coherence story).
+	// withDefaults on the production path and threaded to the clean run
+	// and every worker engine. A one-byte mutant re-translates only the
+	// blocks its patch touched; the other ~99% are adopted from
+	// whichever worker translated them first (see internal/emu/tb's
+	// catalog coherence story).
 	cat *tb.Catalog
 
-	// rec is the clean run's recording on the snapshot path: the fork
+	// rec is the clean run's recording on the production path: the fork
 	// points mutants resume from and the first-touch map that picks one
 	// (see fork.go). Run sets it from its reference run; executeAll
 	// records one when its caller ran the clean reference itself. A
@@ -142,10 +140,34 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Kinds == nil {
 		cfg.Kinds = AllKinds()
 	}
-	if cfg.Engine == emu.TB && cfg.cat == nil {
+	if !cfg.Reload && cfg.cat == nil {
 		cfg.cat = tb.NewCatalog()
 	}
 	return cfg
+}
+
+// errPathEngine reports a Config.Engine that names the other path's
+// engine.
+var errPathEngine = errors.New("campaign: engine does not run on this execution path")
+
+// engine is the backend cfg's path runs: the interpreter on the
+// reference path, tb on the production path.
+func (cfg Config) engine() emu.Engine {
+	if cfg.Reload {
+		return emu.Interp
+	}
+	return emu.TB
+}
+
+// checkEngine accepts a Config.Engine of "" or the path's own engine.
+func (cfg Config) checkEngine() error {
+	if err := cfg.Engine.Validate(); err != nil {
+		return fmt.Errorf("campaign: %w", err)
+	}
+	if cfg.Engine != "" && cfg.Engine != cfg.engine() {
+		return fmt.Errorf("%w: %q with Reload=%t (want %q)", errPathEngine, cfg.Engine, cfg.Reload, cfg.engine())
+	}
+	return nil
 }
 
 // Workload names one stdin profile for a campaign. The same protected
@@ -159,8 +181,8 @@ type Workload struct {
 
 // RunWorkloads executes one full campaign per workload against the
 // same protected image and returns the reports keyed by workload name.
-// The workloads share cfg (including, for the tb engine, one shared
-// translation catalog — stdin never changes code bytes, so every
+// The workloads share cfg (including, on the production path, one
+// shared translation catalog — stdin never changes code bytes, so every
 // workload's workers adopt each other's translations). A configured
 // checkpoint path gets a per-workload suffix so resumable campaigns
 // don't collide; the journal additionally binds the workload's stdin
@@ -193,9 +215,12 @@ func Run(ctx context.Context, prot *core.Protected, cfg Config) (*Report, error)
 	if prot == nil || prot.Image == nil {
 		return nil, fmt.Errorf("campaign: nil protected image")
 	}
+	if err := cfg.checkEngine(); err != nil {
+		return nil, err
+	}
 
 	// Reference run: the clean image's observable behavior, recorded
-	// for fork-point scheduling on the snapshot path.
+	// for fork-point scheduling on the production path.
 	var clean attack.RunResult
 	clean, cfg.rec = reference(ctx, prot.Image, cfg)
 	if clean.Err != nil {
@@ -277,9 +302,9 @@ func executeAll(ctx context.Context, prot *core.Protected, mutants []Mutant,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one reusable VM; a load failure here
-			// falls back to the per-mutant clone+reload path (eng nil),
-			// where the same failure surfaces per mutant.
+			// Each production worker owns one reusable VM; a load
+			// failure here falls back to per-mutant clone+reload on tb
+			// (eng nil), where the same failure surfaces per mutant.
 			var eng *vmEngine
 			if !cfg.Reload {
 				eng = newVMEngine(prot.Image, cfg)
@@ -332,11 +357,11 @@ type vmEngine struct {
 	cpu  *emu.CPU
 	snap *emu.Snapshot
 
-	// tbe is the worker's persistent translation-block engine
-	// (Config.Engine "tb" only). Living across mutants, it keeps
-	// translations of undisturbed code warm: applyVM's pokes and
-	// Restore's page copy-backs invalidate, through the memory bus's
-	// code hooks, exactly the blocks whose bytes changed.
+	// tbe is the worker's persistent translation-block engine. Living
+	// across mutants, it keeps translations of undisturbed code warm:
+	// applyVM's pokes and Restore's page copy-backs invalidate, through
+	// the memory bus's code hooks, exactly the blocks whose bytes
+	// changed.
 	tbe *tb.Engine
 
 	// poisoned marks the VM state corrupted (injected restore fault):
@@ -347,11 +372,7 @@ type vmEngine struct {
 
 // close releases the engine's translation backend (the CPU needs no
 // teardown).
-func (e *vmEngine) close() {
-	if e.tbe != nil {
-		e.tbe.Close()
-	}
-}
+func (e *vmEngine) close() { e.tbe.Close() }
 
 // newVMEngine loads the image and takes the baseline snapshot. A load
 // failure returns nil: the caller falls back to clone+reload, which
@@ -365,11 +386,7 @@ func newVMEngine(base *image.Image, cfg Config) *vmEngine {
 	if err != nil {
 		return nil
 	}
-	eng := &vmEngine{cpu: cpu, snap: cpu.Snapshot()}
-	if cfg.Engine == emu.TB {
-		eng.tbe = tb.NewWithCatalog(cpu, cfg.Obs, cfg.cat)
-	}
-	return eng
+	return &vmEngine{cpu: cpu, snap: cpu.Snapshot(), tbe: tb.NewWithCatalog(cpu, cfg.Obs, cfg.cat)}
 }
 
 // recordOutcomes mirrors a finished campaign's classification tallies
@@ -402,8 +419,8 @@ func recordOutcomes(reg *obs.Registry, rep *Report, classes []Class) {
 // available (restore dirty pages, apply the fork point before the
 // mutant's first touch, poke the mutation, run); KindSerial mutants
 // always exercise the loader, resuming from a fork point on the
-// snapshot path when their layout allows, and a nil engine falls back
-// to clone+reload.
+// production path when their layout allows, and a nil engine falls
+// back to clone+reload on the path's engine.
 func runOne(ctx context.Context, base *image.Image, stream []byte,
 	guard map[uint32]bool, idx int, m Mutant, clean attack.RunResult,
 	cfg Config, eng *vmEngine, panics *uint64) (cls Class) {
@@ -435,7 +452,7 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 	runCfg := attack.RunConfig{
 		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
 		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
-		Obs: cfg.Obs, Engine: cfg.Engine, Catalog: cfg.cat,
+		Obs: cfg.Obs, Engine: cfg.engine(), Catalog: cfg.cat,
 		Chaos: cfg.Chaos, ChaosKey: uint64(idx),
 	}
 
@@ -502,10 +519,7 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 		}
 		mctx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()
-		runCfg.CPU = eng.cpu
-		if eng.tbe != nil {
-			runCfg.Exec = eng.tbe
-		}
+		runCfg.CPU, runCfg.Exec = eng.cpu, eng.tbe
 		res := attack.RunWith(mctx, base, runCfg)
 		if blownDeadline {
 			return ClassInfraError

@@ -2,11 +2,15 @@ package campaign
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"parallax/internal/core"
+	"parallax/internal/emu"
 	"parallax/internal/ir"
+	"parallax/internal/obs"
 )
 
 // targetModule builds a small campaign target: "mix" is both
@@ -150,5 +154,53 @@ func TestCampaignDeterministicEnumeration(t *testing.T) {
 func TestCampaignNilProtected(t *testing.T) {
 	if _, err := Run(context.Background(), nil, Config{}); err == nil {
 		t.Fatal("nil protected accepted")
+	}
+}
+
+// TestConfigEngine: Config.Engine selects nothing. Of the six
+// (Reload, Engine) pairs, "" and each path's own engine run and agree
+// on the matrix; the two cross pairs are refused with errPathEngine
+// before the clean run, and an unknown engine name is refused on
+// either path.
+func TestConfigEngine(t *testing.T) {
+	prot := protectedTarget(t)
+	var want string
+	for _, tc := range []struct {
+		reload bool
+		engine emu.Engine
+		runs   bool
+	}{
+		{false, "", true},
+		{false, emu.TB, true},
+		{false, emu.Interp, false},
+		{true, "", true},
+		{true, emu.Interp, true},
+		{true, emu.TB, false},
+		{false, "bogus", false},
+		{true, "bogus", false},
+	} {
+		reg := obs.NewRegistry()
+		rep, err := Run(context.Background(), prot, Config{
+			Workers: 2, Stride: 11, MaxMutants: 64, MaxInst: 2_000_000, Timeout: time.Minute,
+			Reload: tc.reload, Engine: tc.engine, Obs: reg,
+		})
+		name := fmt.Sprintf("Reload=%t Engine=%q", tc.reload, tc.engine)
+		if !tc.runs {
+			if crossed := tc.engine.Validate() == nil; err == nil || errors.Is(err, errPathEngine) != crossed {
+				t.Errorf("%s: want refusal (path-engine error %t), got %v", name, crossed, err)
+			}
+			if runs := reg.Counter("emu.runs").Value(); runs != 0 {
+				t.Errorf("%s: refused campaign executed %d runs", name, runs)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want == "" {
+			want = rep.String()
+		} else if rep.String() != want {
+			t.Errorf("%s: matrix differs from Reload=false Engine=\"\":\n%s\nwant:\n%s", name, rep, want)
+		}
 	}
 }

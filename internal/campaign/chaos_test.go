@@ -234,3 +234,40 @@ func TestCheckpointMismatchRefused(t *testing.T) {
 		t.Fatalf("want ErrJournalCorrupt, got %v", err)
 	}
 }
+
+// TestCheckpointPathEngine: the journal binds the execution path, not
+// the spelling of its engine. On either path, a journal written with
+// Engine "" resumes under the path's own engine name and vice versa,
+// each to the recorded matrix; flipping Reload is refused.
+func TestCheckpointPathEngine(t *testing.T) {
+	for _, reload := range []bool{false, true} {
+		cfg := Config{Workers: 2, Stride: 6, MaxMutants: 300, Reload: reload}
+		named := cfg
+		named.Engine = cfg.engine()
+		for _, order := range [][2]Config{{cfg, named}, {named, cfg}} {
+			path := filepath.Join(t.TempDir(), "ckpt")
+			want, err := runCheckpointed(t, context.Background(), order[0], path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := runCheckpointed(t, context.Background(), order[1], path)
+			if err != nil {
+				t.Fatalf("reload=%t: engine %q resuming a journal written with %q: %v",
+					reload, order[1].Engine, order[0].Engine, err)
+			}
+			if got.Resumed != got.Mutants || got.String() != want.String() {
+				t.Errorf("reload=%t: resume re-executed %d of %d cells or changed the matrix",
+					reload, got.Mutants-got.Resumed, got.Mutants)
+			}
+		}
+		flipped := cfg
+		flipped.Reload = !reload
+		path := filepath.Join(t.TempDir(), "ckpt")
+		if _, err := runCheckpointed(t, context.Background(), cfg, path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runCheckpointed(t, context.Background(), flipped, path); !errors.Is(err, ErrJournalMismatch) {
+			t.Errorf("reload=%t journal resumed with Reload flipped: want ErrJournalMismatch, got %v", reload, err)
+		}
+	}
+}

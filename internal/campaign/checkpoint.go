@@ -73,12 +73,14 @@ func imageHash(stream []byte) uint64 { return fnv64(stream) }
 // configHash folds every Config field that shapes the mutant set or
 // its classification. Workers, Obs, Chaos and Checkpoint itself are
 // excluded: they change scheduling and bookkeeping, never the matrix a
-// given mutant index resolves to.
+// given mutant index resolves to. The engine folded is the one the
+// path runs, not the Engine field, so "" and the path's own engine
+// name one campaign.
 func configHash(cfg Config) uint64 {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "maxinst=%d timeout=%s stride=%d maxmutants=%d reload=%t membudget=%d stacksize=%d engine=%q kinds=",
 		cfg.MaxInst, time.Duration(cfg.Timeout), cfg.Stride, cfg.MaxMutants,
-		cfg.Reload, cfg.MemBudget, cfg.StackSize, cfg.Engine)
+		cfg.Reload, cfg.MemBudget, cfg.StackSize, cfg.engine())
 	for _, k := range cfg.Kinds {
 		fmt.Fprintf(&b, "%d,", k)
 	}

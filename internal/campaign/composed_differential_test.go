@@ -8,16 +8,16 @@ import (
 	"parallax/internal/corpus/gen"
 )
 
-// TestDifferentialEnginesComposed is the engine-flip gate for §VI-C
+// TestDifferentialEnginesComposed is the path gate for §VI-C
 // composition under a workload: a generated program protected with
 // both a verification chain and the composed checksum network, swept
 // under the heavy workload (cold code and the network's checkers both
-// execute), must classify every mutant identically under the
-// interpreter, tb with private per-worker caches, and tb with the
-// campaign's shared catalog. This is the acceptance gate that the
-// cold-coverage experiment's matrices are engine-independent, checked
-// at the classification level where a single diverging mutant is
-// attributable.
+// execute), must classify every mutant on the production path, with
+// private per-worker caches and with the campaign's shared catalog,
+// exactly as on the reference path. This is the acceptance gate that
+// the cold-coverage experiment's matrices do not depend on the path,
+// checked at the classification level where a single diverging mutant
+// is attributable.
 func TestDifferentialEnginesComposed(t *testing.T) {
 	fam, err := gen.FamilyByName("tiny")
 	if err != nil {
@@ -55,21 +55,16 @@ func TestDifferentialEnginesComposed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	interp, _ := engineClasses(t, prot, mutants, cfg, "", false)
-	private, _ := engineClasses(t, prot, mutants, cfg, "tb", true)
-	shared, regShared := engineClasses(t, prot, mutants, cfg, "tb", false)
-
-	assertSameVector(t, mutants, "tb-private-composed", interp, private)
-	assertSameVector(t, mutants, "tb-shared-composed", interp, shared)
-	if hits := regShared.Counter("emu.tb.catalog_hits").Value(); hits == 0 {
+	legs := assertMatchesReference(t, prot, mutants, cfg, privateCatalog, sharedCatalog)
+	if legs[1].counters["emu.tb.catalog_hits"] == 0 {
 		t.Error("shared-catalog composed campaign recorded no catalog hits")
 	}
 
 	// A vector of all-identical-but-empty classifications would also
 	// pass the identity check; require the sweep to have detected
-	// something at all before trusting it as an engine gate.
+	// something at all before trusting it as a path gate.
 	chains := 0
-	for _, c := range interp {
+	for _, c := range legs[1].classes {
 		if c == ClassChain {
 			chains++
 		}

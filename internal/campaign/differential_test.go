@@ -10,6 +10,7 @@ import (
 	"parallax/internal/attack"
 	"parallax/internal/core"
 	"parallax/internal/corpus"
+	"parallax/internal/obs"
 )
 
 // diffConfig is the shared differential-test configuration: a generous
@@ -26,12 +27,44 @@ func diffConfig(workers int, maxInst uint64, maxMutants int) Config {
 	}
 }
 
-// assertSameClasses runs the same mutant set through the clone+reload
-// path and the snapshot/restore path and requires byte-identical
-// per-mutant classification vectors.
-func assertSameClasses(t *testing.T, prot *core.Protected, mutants []Mutant, cfg Config) {
+// catalogMode picks a production leg's translation catalog.
+type catalogMode bool
+
+const (
+	sharedCatalog  catalogMode = false // the campaign-wide catalog withDefaults creates
+	privateCatalog catalogMode = true  // per-worker caches, nothing shared
+)
+
+// leg is one execution path's run of a mutant set: the per-mutant
+// classes and the registry counters the run accumulated.
+type leg struct {
+	classes  []Class
+	counters map[string]uint64
+}
+
+// assertMatchesReference is the differential harness. It runs the
+// mutant set once on the reference path (interpreter, clone+reload,
+// every mutant replayed from the entry point) and once on the
+// production path per catalog mode (tb, one persistent engine per
+// worker, fork points; sharedCatalog when no mode is given), and holds
+// each production leg to the reference leg:
+//   - every mutant classifies alike;
+//   - emu.runs is equal, and so is emu.insts without fault injection: a
+//     resumed mutant's final Icount includes the clean prefix it
+//     inherited, so it equals the full replay's (an injected stdin cut
+//     stops a full replay at the read(2) that crossed it, but a resumed
+//     run at its fork point: same class, different final Icount);
+//   - campaign.inherited_insts is zero on the reference leg and
+//     positive on the production leg;
+//   - neither path counts a harness panic.
+//
+// It returns the production legs in mode order.
+func assertMatchesReference(t *testing.T, prot *core.Protected, mutants []Mutant, cfg Config, modes ...catalogMode) []leg {
 	t.Helper()
-	cfg = cfg.withDefaults()
+	if len(modes) == 0 {
+		modes = []catalogMode{sharedCatalog}
+	}
+	cfg.Engine, cfg.cat, cfg.rec = "", nil, nil
 	clean := attack.RunWith(context.Background(), prot.Image, attack.RunConfig{
 		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
 		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
@@ -39,38 +72,76 @@ func assertSameClasses(t *testing.T, prot *core.Protected, mutants []Mutant, cfg
 	if clean.Err != nil {
 		t.Fatalf("clean run: %v", clean.Err)
 	}
-
-	reloadCfg := cfg
-	reloadCfg.Reload = true
-	reload, panics, err := executeAll(context.Background(), prot, mutants, clean, reloadCfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if panics != 0 {
-		t.Fatalf("reload path: %d harness panics", panics)
-	}
-	snapCfg := cfg
-	snapCfg.Reload = false
-	snap, panics, err := executeAll(context.Background(), prot, mutants, clean, snapCfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if panics != 0 {
-		t.Fatalf("snapshot path: %d harness panics", panics)
+	run := func(name string, cfg Config) leg {
+		reg := obs.NewRegistry()
+		cfg.Obs = reg
+		classes, panics, err := executeAll(context.Background(), prot, mutants, clean, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if panics != 0 {
+			t.Fatalf("%s: %d harness panics", name, panics)
+		}
+		return leg{classes, reg.Snapshot().Counters}
 	}
 
-	diverged := 0
-	for i := range mutants {
-		if reload[i] != snap[i] {
-			diverged++
-			if diverged <= 10 {
-				t.Errorf("mutant %d (%v): reload=%v snapshot=%v",
-					i, mutants[i], reload[i], snap[i])
+	ref := cfg
+	ref.Reload = true
+	want := run("reference path", ref.withDefaults())
+	if want.counters["campaign.inherited_insts"] != 0 {
+		t.Error("the reference path inherited instructions")
+	}
+	var legs []leg
+	for _, mode := range modes {
+		name := "production path (shared catalog)"
+		prod := cfg
+		prod.Reload = false
+		prod = prod.withDefaults()
+		if mode == privateCatalog {
+			name = "production path (private caches)"
+			prod.cat = nil
+		}
+		got := run(name, prod)
+		diverged := 0
+		for i := range mutants {
+			if want.classes[i] != got.classes[i] {
+				if diverged++; diverged <= 10 {
+					t.Errorf("mutant %d (%v): reference=%v %s=%v", i, mutants[i], want.classes[i], name, got.classes[i])
+				}
 			}
 		}
+		if diverged > 0 {
+			t.Fatalf("%s: %d of %d mutants classified differently from the reference path", name, diverged, len(mutants))
+		}
+		for _, c := range []string{"emu.insts", "emu.runs"} {
+			if want.counters[c] != got.counters[c] && (c == "emu.runs" || cfg.Chaos == nil) {
+				t.Errorf("%s: reference path %d, %s %d", c, want.counters[c], name, got.counters[c])
+			}
+		}
+		if got.counters["campaign.inherited_insts"] == 0 {
+			t.Errorf("%s resumed no mutant from a fork point", name)
+		}
+		legs = append(legs, got)
 	}
-	if diverged > 0 {
-		t.Fatalf("%d of %d mutants classified differently between paths", diverged, len(mutants))
+	return legs
+}
+
+// assertSameReport requires Run to return field-for-field equal
+// reports on the reference and the production path.
+func assertSameReport(t *testing.T, prot *core.Protected, cfg Config) {
+	t.Helper()
+	ref := cfg
+	ref.Reload = true
+	repRef, err := Run(context.Background(), prot, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repProd, err := Run(context.Background(), prot, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(repRef, repProd) {
+		t.Errorf("reports differ between paths:\nreference:\n%s\nproduction:\n%s", repRef, repProd)
 	}
 }
 
@@ -91,8 +162,8 @@ func protectedCorpus(t *testing.T, name string) (*core.Protected, []byte) {
 }
 
 // TestDifferentialTarget is the always-on differential: the synthetic
-// campaign target, every mutation kind, and the full Run reports
-// compared field for field. Cheap enough to run under the race
+// campaign target, every mutation kind, and the full Run reports of
+// both paths compared field for field. Cheap enough to run under the race
 // detector too.
 func TestDifferentialTarget(t *testing.T) {
 	prot := protectedTarget(t)
@@ -106,22 +177,9 @@ func TestDifferentialTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameClasses(t, prot, mutants, cfg)
+	assertMatchesReference(t, prot, mutants, cfg)
 
-	reloadCfg := cfg
-	reloadCfg.Reload = true
-	repReload, err := Run(context.Background(), prot, reloadCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repSnap, err := Run(context.Background(), prot, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repReload, repSnap) {
-		t.Errorf("reports differ between paths:\nreload:\n%s\nsnapshot:\n%s",
-			repReload, repSnap)
-	}
+	assertSameReport(t, prot, cfg)
 }
 
 // TestDifferentialCorpus: the enumerated campaign over the seed wget
@@ -150,32 +208,19 @@ func TestDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameClasses(t, prot, mutants, cfg)
+			assertMatchesReference(t, prot, mutants, cfg)
 			if !tc.reports {
 				return
 			}
-			reloadCfg := cfg
-			reloadCfg.Reload = true
-			repReload, err := Run(context.Background(), prot, reloadCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			repSnap, err := Run(context.Background(), prot, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(repReload, repSnap) {
-				t.Errorf("reports differ between paths:\nreload:\n%s\nsnapshot:\n%s",
-					repReload, repSnap)
-			}
+			assertSameReport(t, prot, cfg)
 		})
 	}
 }
 
 // TestDifferentialRandomMutants throws seeded-random byte patches at
 // both paths, deliberately including sites outside initialized data
-// (BSS tails) and section edges, where the two paths' bounds handling
-// could plausibly diverge.
+// (BSS tails) and section edges, where the clone path's image.WriteAt
+// and the production path's applyVM could plausibly disagree on bounds.
 func TestDifferentialRandomMutants(t *testing.T) {
 	if raceEnabled {
 		t.Skip("corpus differential skipped under -race (covered by the synthetic target)")
@@ -216,12 +261,13 @@ func TestDifferentialRandomMutants(t *testing.T) {
 	}
 	cfg := diffConfig(1, 6_000_000, 0)
 	cfg.Stdin = stdin
-	assertSameClasses(t, prot, mutants, cfg)
+	assertMatchesReference(t, prot, mutants, cfg)
 }
 
 // TestDifferentialMultiWorker is the -race variant: several workers
-// per path, each with its own vmEngine, sharing nothing but the base
-// image — and still the identical classification vector. Uses the
+// per path, each production worker with its own vmEngine, sharing
+// only the base image and the catalog — and still the identical
+// classification vector. Uses the
 // synthetic target so the race build can afford it.
 func TestDifferentialMultiWorker(t *testing.T) {
 	prot := protectedTarget(t)
@@ -236,5 +282,5 @@ func TestDifferentialMultiWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameClasses(t, prot, mutants, cfg)
+	assertMatchesReference(t, prot, mutants, cfg)
 }

@@ -12,48 +12,44 @@ import (
 // Fork-point scheduling. A mutant differs from the clean image in a
 // few bytes, and its run is the clean run, instruction for instruction,
 // until it first fetches, reads or writes one of them: until then both
-// runs see the same memory, registers and kernel. The snapshot path
+// runs see the same memory, registers and kernel. The production path
 // therefore records the clean run once — fork points at fixed
 // instruction intervals plus the exit state, and the first-touch
 // instruction of every image byte — and starts each mutant from the
 // last fork point before its first touch instead of the entry point.
 // A mutant whose bytes the clean run never touches resumes at the exit
-// state and finishes in zero instructions. The clone+reload path
+// state and finishes in zero instructions. The reference path
 // (Config.Reload) records nothing and replays every mutant from the
-// entry point: it is the oracle the differential tests hold this
-// path to.
+// entry point: it is the oracle the differential tests hold the
+// production path to.
 
 // maxRecordSpan bounds the address span a recording's first-touch map
 // covers (4 bytes per byte of span). Images whose sections spread
 // wider are campaigned without fork points.
 const maxRecordSpan = 64 << 20
 
-// reference runs the clean image once and returns its result. On the
-// snapshot path the run is recorded on the tb engine, the recorder's
-// only feed, with the campaign's shared catalog (cfg.cat, nil for the
-// interpreter), so the workers adopt the clean run's translations
-// instead of making their own. The engines agree instruction for
-// instruction, so the result is the one cfg.Engine would give. The
-// recording comes back too, and its wall time goes into cfg.Obs as the
+// reference runs the clean image once, on the engine of cfg's path,
+// and returns its result. The reference path (cfg.Reload) returns no
+// recording. On the production path the run is recorded on tb, the
+// recorder's only feed, with the campaign's shared catalog (cfg.cat),
+// so the workers adopt the clean run's translations instead of making
+// their own; the recording's wall time goes into cfg.Obs as the
 // campaign.record stage: it is the serial floor of every campaign. A
 // recording without fork points — a run that is too long or an image
 // too sparse to record, or a failed run — makes every mutant replay
-// from the entry point. The Reload path runs under cfg.Engine and
-// returns no recording; an unknown engine's run fails the way every
-// mutant's would.
+// from the entry point.
 func reference(ctx context.Context, img *image.Image, cfg Config) (attack.RunResult, *emu.Recording) {
 	runCfg := attack.RunConfig{
 		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
 		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
-		Obs: cfg.Obs, Engine: cfg.Engine, Catalog: cfg.cat,
+		Obs: cfg.Obs, Engine: cfg.engine(), Catalog: cfg.cat,
+	}
+	if cfg.Reload {
+		return attack.RunWith(ctx, img, runCfg), nil
 	}
 	lo, hi := recordSpan(img)
-	if cfg.Reload || cfg.Engine.Validate() != nil || cfg.MaxInst >= 1<<32 || hi-lo > maxRecordSpan {
-		res := attack.RunWith(ctx, img, runCfg)
-		if cfg.Reload {
-			return res, nil
-		}
-		return res, &emu.Recording{}
+	if cfg.MaxInst >= 1<<32 || hi-lo > maxRecordSpan {
+		return attack.RunWith(ctx, img, runCfg), &emu.Recording{}
 	}
 	defer cfg.Obs.StartSpan("campaign.record").End()
 	cpu, err := attack.Load(img, runCfg)
@@ -61,7 +57,7 @@ func reference(ctx context.Context, img *image.Image, cfg Config) (attack.RunRes
 		return attack.RunResult{Err: err}, &emu.Recording{}
 	}
 	rec := cpu.Record(lo, hi)
-	runCfg.CPU, runCfg.Engine = cpu, emu.TB
+	runCfg.CPU = cpu
 	res := attack.RunWith(ctx, img, runCfg)
 	if err := rec.Finish(); err != nil || res.Err != nil {
 		return res, &emu.Recording{}
@@ -99,8 +95,8 @@ type byteDiff struct {
 // mutant with the base image's entry point and section layout (names,
 // addresses, sizes, permissions, initialized lengths) loads into the
 // same machine state up to its differing bytes; any other returns nil
-// and replays from the entry point, as does every mutant on the Reload
-// path (rec nil).
+// and replays from the entry point, as does every mutant on the
+// reference path (rec nil).
 func serialFork(rec *emu.Recording, base, loaded *image.Image) (*emu.ForkPoint, []byteDiff) {
 	if rec == nil || loaded.Entry != base.Entry || len(loaded.Sections) != len(base.Sections) {
 		return nil, nil

@@ -6,83 +6,22 @@ import (
 	"testing"
 	"time"
 
-	"parallax/internal/attack"
 	"parallax/internal/chaos"
 	"parallax/internal/core"
 	"parallax/internal/corpus/gen"
 	"parallax/internal/dyngen"
-	"parallax/internal/emu"
 	"parallax/internal/emu/forktest"
 	"parallax/internal/image"
 	"parallax/internal/obs"
 )
-
-// assertForkMatchesReload is the fork-point differential: the same
-// mutants on the snapshot path (fork-point scheduling, cfg.Engine) and
-// on the clone+reload reference path (interpreter, every mutant
-// replayed from the entry point) must classify alike, mutant by mutant,
-// and count identical emu.insts and emu.runs — a resumed mutant's final
-// Icount includes the clean prefix it inherited, so it equals the full
-// replay's (without fault injection). It returns the snapshot path's
-// classes.
-func assertForkMatchesReload(t *testing.T, prot *core.Protected, mutants []Mutant, cfg Config) []Class {
-	t.Helper()
-	cfg = cfg.withDefaults()
-	clean := attack.RunWith(context.Background(), prot.Image, attack.RunConfig{Stdin: cfg.Stdin, MaxInst: cfg.MaxInst})
-	if clean.Err != nil {
-		t.Fatalf("clean run: %v", clean.Err)
-	}
-	run := func(cfg Config) ([]Class, map[string]uint64) {
-		reg := obs.NewRegistry()
-		cfg.Obs = reg
-		classes, panics, err := executeAll(context.Background(), prot, mutants, clean, cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if panics != 0 {
-			t.Fatalf("%d harness panics", panics)
-		}
-		return classes, reg.Snapshot().Counters
-	}
-	ref := cfg
-	ref.Engine, ref.Reload, ref.cat = "", true, nil
-	want, rc := run(ref)
-	got, fc := run(cfg)
-	diverged := 0
-	for i := range mutants {
-		if want[i] != got[i] {
-			if diverged++; diverged <= 10 {
-				t.Errorf("mutant %d (%v): reload=%v fork points=%v", i, mutants[i], want[i], got[i])
-			}
-		}
-	}
-	if diverged > 0 {
-		t.Fatalf("%d of %d mutants classified differently", diverged, len(mutants))
-	}
-	for _, c := range []string{"emu.insts", "emu.runs"} {
-		// An injected stdin cut stops a full replay at the read(2) that
-		// crossed it, but a resumed run at its fork point: same class,
-		// different final Icount.
-		if rc[c] != fc[c] && (c == "emu.runs" || cfg.Chaos == nil) {
-			t.Errorf("%s: reload path %d, fork-point path %d", c, rc[c], fc[c])
-		}
-	}
-	if rc["campaign.inherited_insts"] != 0 {
-		t.Error("the reload path inherited instructions")
-	}
-	if fc["campaign.inherited_insts"] == 0 {
-		t.Error("the snapshot path resumed no mutant from a fork point")
-	}
-	return got
-}
 
 // TestForkAccounting pins the accounting identity: executed
 // instructions are emu.insts − campaign.inherited_insts, where
 // campaign.inherited_insts is the sum of the fork-point Icounts the
 // mutants resumed from, and campaign.fork_points counts the recording's
 // fork points including the exit state. The recording run's wall time
-// is the campaign.record stage, one span per campaign on the snapshot
-// path and none on the reload path.
+// is the campaign.record stage, one span per campaign on the production
+// path and none on the reference path.
 func TestForkAccounting(t *testing.T) {
 	prot := protectedTarget(t)
 	cfg := Config{Workers: 2, Stride: 3, MaxMutants: 400, MaxInst: 2_000_000, Timeout: 60 * time.Second}
@@ -99,13 +38,13 @@ func TestForkAccounting(t *testing.T) {
 		st, ok := snap.Stages["campaign.record"]
 		switch {
 		case reload && ok:
-			t.Error("the reload path timed a recording run")
+			t.Error("the reference path timed a recording run")
 		case !reload && (st.Count != 1 || st.TotalNanos <= 0):
 			t.Errorf("campaign.record stage: %d spans totalling %v, want one recording run", st.Count, st.Total())
 		}
 	}
 	if r, f := runs[true]["emu.insts"], runs[false]["emu.insts"]; r != f {
-		t.Errorf("emu.insts: reload path %d, fork-point path %d", r, f)
+		t.Errorf("emu.insts: reference path %d, production path %d", r, f)
 	}
 
 	cfg = cfg.withDefaults()
@@ -142,7 +81,7 @@ func TestForkAccounting(t *testing.T) {
 		t.Errorf("campaign.fork_points = %d, want %d (at least one periodic plus the exit state)", got, want)
 	}
 	if runs[true]["campaign.fork_points"] != 0 || runs[true]["campaign.inherited_insts"] != 0 {
-		t.Error("the reload path recorded or resumed from fork points")
+		t.Error("the reference path recorded or resumed from fork points")
 	}
 	executed := c["emu.insts"] - c["campaign.inherited_insts"]
 	if executed <= clean.Icount || executed >= c["emu.insts"] {
@@ -170,16 +109,16 @@ func serialize(t *testing.T, img *image.Image) []byte {
 	return buf.Bytes()
 }
 
-// TestForkDifferentialWgetIdle: the production tb configuration against
-// the interpreter reload oracle on wget's idle workload.
+// TestForkDifferentialWgetIdle: the production path against the
+// reference path on wget's idle workload.
 func TestForkDifferentialWgetIdle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("corpus differential skipped under -race (covered by the synthetic target)")
 	}
 	prot, stdin := protectedCorpus(t, "wget")
-	cfg := Config{Workers: 2, Engine: "tb", Stride: 11, MaxMutants: 120,
+	cfg := Config{Workers: 2, Stride: 11, MaxMutants: 120,
 		MaxInst: 6_000_000, Timeout: 60 * time.Second, Stdin: stdin}
-	assertForkMatchesReload(t, prot, enumerate(t, prot, cfg), cfg)
+	assertMatchesReference(t, prot, enumerate(t, prot, cfg), cfg)
 }
 
 // TestForkDifferentialGenHeavy: a generated small image under the heavy
@@ -202,9 +141,9 @@ func TestForkDifferentialGenHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 2, Engine: "tb", Stride: 1499, MaxMutants: 120,
+	cfg := Config{Workers: 2, Stride: 1499, MaxMutants: 120,
 		MaxInst: 4_000_000, Timeout: 60 * time.Second, Stdin: heavy}
-	assertForkMatchesReload(t, prot, enumerate(t, prot, cfg), cfg)
+	assertMatchesReference(t, prot, enumerate(t, prot, cfg), cfg)
 }
 
 // TestForkDifferentialSMC: an xor-chain target rewrites chain-guarded
@@ -217,9 +156,9 @@ func TestForkDifferentialSMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 4, Engine: "tb", Stride: 3, MaxMutants: 300,
+	cfg := Config{Workers: 4, Stride: 3, MaxMutants: 300,
 		MaxInst: 2_000_000, Timeout: 60 * time.Second}
-	assertForkMatchesReload(t, prot, enumerate(t, prot, cfg), cfg)
+	assertMatchesReference(t, prot, enumerate(t, prot, cfg), cfg)
 }
 
 // TestForkDifferentialSerial: serialized-form mutants alone, dense
@@ -234,8 +173,12 @@ func TestForkDifferentialSerial(t *testing.T) {
 		mutants = append(mutants, Mutant{Kind: KindSerial, Region: serialRegion,
 			Addr: uint32(off), Len: 1, Bit: uint8(off % 8)})
 	}
-	cfg := Config{Workers: 4, Engine: "tb", MaxInst: 2_000_000, Timeout: 60 * time.Second}.withDefaults()
-	assertForkMatchesReload(t, prot, mutants, cfg)
+	cfg := Config{Workers: 4, MaxInst: 2_000_000, Timeout: 60 * time.Second}.withDefaults()
+	// Every serialized-form mutant loads a fresh CPU, so only the shared
+	// catalog carries translations into its run.
+	if assertMatchesReference(t, prot, mutants, cfg)[0].counters["emu.tb.catalog_hits"] == 0 {
+		t.Error("serialized-form mutants adopted no translation from the shared catalog")
+	}
 
 	// The differential only bites where a fork point's clean page
 	// overwrites a differing byte the resumed run later reads: count
@@ -269,14 +212,15 @@ func TestForkDifferentialSerial(t *testing.T) {
 // injected fault, a mutant resumed from a fork point past the cut must
 // still classify as an infra error, because the resume consumes the
 // clean run's stdin through the same faulting reader. Mutant by mutant,
-// the snapshot path must match the reload path under the same plan.
+// the production path must match the reference path under the same
+// plan.
 func TestForkStdinCutBeforeResume(t *testing.T) {
 	prot, heavy := workloadTarget(t)
-	cfg := Config{Workers: 2, Engine: "tb", Stride: 5, MaxMutants: 200,
+	cfg := Config{Workers: 2, Stride: 5, MaxMutants: 200,
 		MaxInst: 4_000_000, Timeout: 60 * time.Second, Stdin: heavy,
 		Chaos: chaos.New(chaos.Plan{Seed: 7, Faults: []chaos.Fault{{Point: chaos.PointStdinRead, Prob: 1}}}, nil)}
 	infra := 0
-	for _, c := range assertForkMatchesReload(t, prot, enumerate(t, prot, cfg), cfg) {
+	for _, c := range assertMatchesReference(t, prot, enumerate(t, prot, cfg), cfg)[0].classes {
 		if c == ClassInfraError {
 			infra++
 		}
@@ -288,12 +232,12 @@ func TestForkStdinCutBeforeResume(t *testing.T) {
 
 // TestForkDifferentialDense mutates every byte of two small
 // hand-written targets (stride 1) and holds each mutant to the full
-// replay, under both engines. forktest.Phased rewrites its own code and
-// reads stdin in pieces between fork points; forktest.Probe reads a
-// data word inside the recorded run's first chain and leaves data and
-// code untouched. A first touch recorded later than the true one, or a
-// touched byte recorded as never touched, resumes some mutant past the
-// point where it diverges and shows here as a class difference.
+// replay. forktest.Phased rewrites its own code and reads stdin in
+// pieces between fork points; forktest.Probe reads a data word inside
+// the recorded run's first chain and leaves data and code untouched. A
+// first touch recorded later than the true one, or a touched byte
+// recorded as never touched, resumes some mutant past the point where
+// it diverges and shows here as a class difference.
 func TestForkDifferentialDense(t *testing.T) {
 	for _, tg := range []struct {
 		name  string
@@ -304,22 +248,19 @@ func TestForkDifferentialDense(t *testing.T) {
 		{"probe", forktest.Probe(), nil},
 	} {
 		prot := &core.Protected{Image: tg.img}
-		for _, engine := range []emu.Engine{emu.Interp, emu.TB} {
-			t.Run(tg.name+"/"+string(engine), func(t *testing.T) {
-				cfg := Config{Workers: 2, Engine: engine, Stride: 1, MaxInst: 20_000,
-					Timeout: time.Minute, Stdin: tg.stdin}
-				mutants := enumerate(t, prot, cfg)
-				classes := assertForkMatchesReload(t, prot, mutants, cfg)
-				silent := 0
-				for _, c := range classes {
-					if c == ClassSilent {
-						silent++
-					}
+		t.Run(tg.name+"/tb", func(t *testing.T) {
+			cfg := Config{Workers: 2, Stride: 1, MaxInst: 20_000, Timeout: time.Minute, Stdin: tg.stdin}
+			mutants := enumerate(t, prot, cfg)
+			classes := assertMatchesReference(t, prot, mutants, cfg)[0].classes
+			silent := 0
+			for _, c := range classes {
+				if c == ClassSilent {
+					silent++
 				}
-				if silent == 0 || silent == len(classes) {
-					t.Errorf("%d of %d mutants silent: the differential needs both outcomes", silent, len(classes))
-				}
-			})
-		}
+			}
+			if silent == 0 || silent == len(classes) {
+				t.Errorf("%d of %d mutants silent: the differential needs both outcomes", silent, len(classes))
+			}
+		})
 	}
 }

@@ -50,33 +50,29 @@ func Campaign(ctx context.Context, progs []string, cfg campaign.Config) ([]Campa
 	return out, nil
 }
 
-// CampaignEngineRow compares the campaign's execution configurations
-// on one corpus program: the interpreter on the legacy clone+reload
-// path, the interpreter on the snapshot/restore path, and the
-// translation-block engine (the default) on the snapshot path with the
-// campaign-wide shared catalog. Detection matrices must agree across
-// all three — MatrixEqual is the differential check, TBSpeedup and the
-// catalog hit rate the payoff.
+// CampaignEngineRow compares the campaign's two execution paths on
+// one corpus program: the reference path (interpreter, clone+reload
+// per mutant) and the production path (tb, snapshot/restore, fork
+// points and the campaign-wide shared catalog). MatrixEqual is the
+// differential check, Speedup and the catalog hit rate the payoff.
 type CampaignEngineRow struct {
 	Program       string
 	Mutants       int
-	ReloadSeconds float64 // interp, clone+reload per mutant
-	SnapSeconds   float64 // interp, snapshot/restore
-	TBSeconds     float64 // tb + shared catalog, snapshot/restore
-	Speedup       float64 // ReloadSeconds / TBSeconds (full stack win)
-	TBSpeedup     float64 // SnapSeconds / TBSeconds (engine-only win)
-	// CatalogHitRate is catalog hits over catalog consults on the tb
-	// run: the fraction of block lookups that skipped decode+compile by
-	// adopting another mutant's translation.
+	ReloadSeconds float64 // reference path
+	TBSeconds     float64 // production path
+	Speedup       float64 // ReloadSeconds / TBSeconds
+	// CatalogHitRate is catalog hits over catalog consults on the
+	// production run: the fraction of block lookups that skipped
+	// decode+compile by adopting another mutant's translation.
 	CatalogHitRate float64
 	MatrixEqual    bool
-	Report         *campaign.Report // tb-path report
+	Report         *campaign.Report // production-path report
 }
 
-// CampaignEngines runs the same enumerated campaign through all three
-// execution configurations and measures wall-clock time per path. An
-// empty program list means wget. Wall-clock numbers vary by host; the
-// matrix equality must not.
+// CampaignEngines runs the same enumerated campaign on both execution
+// paths and measures wall-clock time per path. An empty program list
+// means wget. Wall-clock numbers vary by host; the matrix equality
+// must not.
 func CampaignEngines(ctx context.Context, progs []string, cfg campaign.Config) ([]CampaignEngineRow, error) {
 	if len(progs) == 0 {
 		progs = []string{"wget"}
@@ -95,59 +91,72 @@ func CampaignEngines(ctx context.Context, progs []string, cfg campaign.Config) (
 		}
 		pcfg := cfg
 		pcfg.Stdin = p.Stdin
-
-		reloadCfg := pcfg
-		reloadCfg.Reload = true
-		reloadCfg.Engine = "interp"
-		start := time.Now()
-		repReload, err := campaign.Run(ctx, prot, reloadCfg)
+		legs, err := comparePaths(ctx, prot, pcfg)
 		if err != nil {
-			return nil, fmt.Errorf("campaign-engine experiment: %s (interp reload): %w", name, err)
+			return nil, fmt.Errorf("campaign-engine experiment: %s %w", name, err)
 		}
-		reloadSec := time.Since(start).Seconds()
-
-		snapCfg := pcfg
-		snapCfg.Reload = false
-		snapCfg.Engine = "interp"
-		start = time.Now()
-		repSnap, err := campaign.Run(ctx, prot, snapCfg)
-		if err != nil {
-			return nil, fmt.Errorf("campaign-engine experiment: %s (interp snapshot): %w", name, err)
-		}
-		snapSec := time.Since(start).Seconds()
-
-		tbCfg := pcfg
-		tbCfg.Reload = false
-		tbCfg.Engine = "tb"
-		reg := obs.NewRegistry()
-		tbCfg.Obs = reg
-		start = time.Now()
-		repTB, err := campaign.Run(ctx, prot, tbCfg)
-		if err != nil {
-			return nil, fmt.Errorf("campaign-engine experiment: %s (tb snapshot): %w", name, err)
-		}
-		tbSec := time.Since(start).Seconds()
-		hits := reg.Counter("emu.tb.catalog_hits").Value()
-		misses := reg.Counter("emu.tb.catalog_misses").Value()
-
-		row := CampaignEngineRow{
-			Program:       name,
-			Mutants:       repTB.Mutants,
-			ReloadSeconds: reloadSec,
-			SnapSeconds:   snapSec,
-			TBSeconds:     tbSec,
-			MatrixEqual: reflect.DeepEqual(repReload, repSnap) &&
-				reflect.DeepEqual(repSnap, repTB),
-			Report: repTB,
-		}
-		if tbSec > 0 {
-			row.Speedup = reloadSec / tbSec
-			row.TBSpeedup = snapSec / tbSec
-		}
-		if hits+misses > 0 {
-			row.CatalogHitRate = float64(hits) / float64(hits+misses)
-		}
-		out = append(out, row)
+		out = append(out, CampaignEngineRow{
+			Program:        name,
+			Mutants:        legs.report.Mutants,
+			ReloadSeconds:  legs.refSeconds,
+			TBSeconds:      legs.prodSeconds,
+			Speedup:        legs.speedup(),
+			CatalogHitRate: legs.catalogHitRate,
+			MatrixEqual:    legs.matrixEqual,
+			Report:         legs.report,
+		})
 	}
 	return out, nil
+}
+
+// pathLegs is one campaign over one protected image, run on both
+// execution paths.
+type pathLegs struct {
+	report                  *campaign.Report // production path
+	refSeconds, prodSeconds float64
+	matrixEqual             bool
+	catalogHitRate          float64 // on the production run
+}
+
+// speedup is the reference path's wall time over the production
+// path's (0 when the production run took no measurable time).
+func (l pathLegs) speedup() float64 {
+	if l.prodSeconds <= 0 {
+		return 0
+	}
+	return l.refSeconds / l.prodSeconds
+}
+
+// comparePaths runs cfg's campaign over prot on the reference path and
+// then on the production path, timing each, and reports whether the
+// two reports are equal and the production run's catalog hit rate.
+// cfg.Reload and cfg.Obs are its own.
+func comparePaths(ctx context.Context, prot *core.Protected, cfg campaign.Config) (pathLegs, error) {
+	run := func(reload bool, reg *obs.Registry) (*campaign.Report, float64, error) {
+		c := cfg
+		c.Reload, c.Obs = reload, reg
+		start := time.Now()
+		rep, err := campaign.Run(ctx, prot, c)
+		return rep, time.Since(start).Seconds(), err
+	}
+	ref, refSec, err := run(true, nil)
+	if err != nil {
+		return pathLegs{}, fmt.Errorf("(reference path): %w", err)
+	}
+	reg := obs.NewRegistry()
+	prod, prodSec, err := run(false, reg)
+	if err != nil {
+		return pathLegs{}, fmt.Errorf("(production path): %w", err)
+	}
+	legs := pathLegs{
+		report:      prod,
+		refSeconds:  refSec,
+		prodSeconds: prodSec,
+		matrixEqual: reflect.DeepEqual(ref, prod),
+	}
+	hits := reg.Counter("emu.tb.catalog_hits").Value()
+	if consults := hits + reg.Counter("emu.tb.catalog_misses").Value(); consults > 0 {
+		legs.catalogHitRate = float64(hits) / float64(consults)
+	}
+	return legs, nil
 }

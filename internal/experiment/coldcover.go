@@ -25,7 +25,7 @@ import (
 //
 // Two invariants ride along. First, detection matrices are semantic
 // statements about the protected program, so every k-th program's
-// heavy/composed campaign is re-run under the other execution engine
+// heavy/composed campaign is re-run on the campaign's reference path
 // and must fingerprint identically. Second, composition must not
 // change clean behavior: the composed image's campaign classifies
 // against its own clean reference run, which the campaign hard-fails
@@ -45,11 +45,8 @@ type ColdCoverOptions struct {
 	Mutants int
 	// Workers is the per-campaign worker count (0 = GOMAXPROCS).
 	Workers int
-	// Engine is the campaign execution backend (default emu.TB; the
-	// cross-check below re-runs under the other one).
-	Engine emu.Engine
 	// CrossEvery re-runs every k-th program's heavy/composed campaign
-	// under the other engine and hard-fails on matrix divergence
+	// on the reference path and hard-fails on matrix divergence
 	// (0 = 4; negative disables).
 	CrossEvery int
 	// Progress, when non-nil, is called after each program completes.
@@ -68,9 +65,6 @@ func (o ColdCoverOptions) withDefaults() ColdCoverOptions {
 	}
 	if o.Mutants == 0 {
 		o.Mutants = 96
-	}
-	if o.Engine == "" {
-		o.Engine = emu.TB
 	}
 	if o.CrossEvery == 0 {
 		o.CrossEvery = 4
@@ -150,7 +144,6 @@ type ColdCoverFamily struct {
 
 // ColdCoverReport is the full sweep result.
 type ColdCoverReport struct {
-	Engine      emu.Engine         `json:"engine"`
 	Checkers    int                `json:"checkers"`
 	Mutants     int                `json:"mutants"`
 	Programs    []ColdCoverProgram `json:"programs"`
@@ -166,7 +159,7 @@ type ColdCoverReport struct {
 // as timeouts in the matrix.
 func coldCampaignConfig(opts ColdCoverOptions, textBytes, codeKiB int) campaign.Config {
 	cfg := corpusCampaignConfig(CorpusOptions{
-		Workers: opts.Workers, Mutants: opts.Mutants, Engine: opts.Engine,
+		Workers: opts.Workers, Mutants: opts.Mutants,
 	}, textBytes, codeKiB)
 	cfg.MaxInst = 4_000_000 + 8*uint64(textBytes)
 	cfg.Timeout = 30 * time.Second
@@ -210,11 +203,7 @@ func runCyclesWith(img *image.Image, stdin []byte) (uint64, error) {
 // ColdCoverSweep runs the cold-coverage experiment.
 func ColdCoverSweep(ctx context.Context, opts ColdCoverOptions) (*ColdCoverReport, error) {
 	opts = opts.withDefaults()
-	out := &ColdCoverReport{Engine: opts.Engine, Checkers: opts.Checkers, Mutants: opts.Mutants}
-	other := emu.TB
-	if opts.Engine == emu.TB {
-		other = emu.Interp
-	}
+	out := &ColdCoverReport{Checkers: opts.Checkers, Mutants: opts.Mutants}
 	total := len(opts.Families) * opts.Seeds
 	done := 0
 
@@ -307,20 +296,20 @@ func ColdCoverSweep(ctx context.Context, opts ColdCoverOptions) (*ColdCoverRepor
 				},
 			}
 
-			// Engine cross-check on the cell where everything is live at
+			// Path cross-check on the cell where everything is live at
 			// once: heavy workload, composed network.
 			if opts.CrossEvery > 0 && done%opts.CrossEvery == 0 {
 				xcfg := cfg
-				xcfg.Engine = other
+				xcfg.Reload = true
 				xcfg.Stdin = heavy
 				xrep, err := campaign.Run(ctx, composed, xcfg)
 				if err != nil {
-					return nil, fmt.Errorf("coldcover: %s: cross-engine: %w", prog.Name, err)
+					return nil, fmt.Errorf("coldcover: %s: reference path: %w", prog.Name, err)
 				}
 				want := rec.Cell("heavy", true).MatrixFP
 				if fp := matrixFP(xrep); fp != want {
-					return nil, fmt.Errorf("coldcover: %s: heavy/composed matrix diverges across engines: %s (%s) vs %s (%s)",
-						prog.Name, want, opts.Engine, fp, other)
+					return nil, fmt.Errorf("coldcover: %s: heavy/composed matrix diverges between paths: %s (production) vs %s (reference)",
+						prog.Name, want, fp)
 				}
 				rec.CrossChecked = true
 				out.CrossChecks++

@@ -29,7 +29,7 @@ func TestColdCoverSmoke(t *testing.T) {
 		t.Fatalf("got %d programs, want 2", len(rep.Programs))
 	}
 	if rep.CrossChecks == 0 {
-		t.Error("no cross-engine checks ran")
+		t.Error("no reference-path cross-checks ran")
 	}
 	for _, p := range rep.Programs {
 		if len(p.Cells) != 4 {

@@ -32,15 +32,12 @@ type CorpusOptions struct {
 	// (0 = 105). Budgets >= 20 always include the 1.6 MiB and 4 MiB
 	// families so the sweep spans three size decades.
 	N int
-	// Engine is the campaign execution backend, emu.TB (default) or
-	// emu.Interp; the cross-engine check re-derives under the other.
-	Engine emu.Engine
 	// Mutants caps each program's campaign (0 = 96).
 	Mutants int
 	// Workers is the per-campaign worker count (0 = GOMAXPROCS).
 	Workers int
-	// CrossEvery re-runs every k-th program's campaign under the other
-	// engine and hard-fails on any matrix divergence (0 = 10; negative
+	// CrossEvery re-runs every k-th program's campaign on the reference
+	// path and hard-fails on any matrix divergence (0 = 10; negative
 	// disables).
 	CrossEvery int
 	// Progress, when non-nil, is called after each program completes.
@@ -50,9 +47,6 @@ type CorpusOptions struct {
 func (o CorpusOptions) withDefaults() CorpusOptions {
 	if o.N == 0 {
 		o.N = 105
-	}
-	if o.Engine == "" {
-		o.Engine = emu.TB
 	}
 	if o.Mutants == 0 {
 		o.Mutants = 96
@@ -152,7 +146,6 @@ type CorpusFamily struct {
 
 // CorpusReport is the full sweep result.
 type CorpusReport struct {
-	Engine      emu.Engine      `json:"engine"`
 	Programs    []CorpusProgram `json:"programs"`
 	Families    []CorpusFamily  `json:"families"`
 	Overall     CorpusFamily    `json:"overall"`
@@ -221,7 +214,6 @@ func corpusCampaignConfig(opts CorpusOptions, textBytes, codeKiB int) campaign.C
 		Stride:     stride,
 		MaxMutants: opts.Mutants,
 		Kinds:      kinds,
-		Engine:     opts.Engine,
 	}
 }
 
@@ -279,11 +271,7 @@ func CorpusSweep(ctx context.Context, opts CorpusOptions) (*CorpusReport, error)
 		total += e.count
 	}
 
-	out := &CorpusReport{Engine: opts.Engine}
-	other := emu.TB
-	if opts.Engine == emu.TB {
-		other = emu.Interp
-	}
+	out := &CorpusReport{}
 	done := 0
 	for _, entry := range plan {
 		info, err := gen.Describe(entry.fam.Params)
@@ -363,19 +351,20 @@ func CorpusSweep(ctx context.Context, opts CorpusOptions) (*CorpusReport, error)
 			}
 			rec.HotDetectedRate, rec.ColdDetectedRate, rec.DataDetectedRate = regionRates(rep, info)
 
-			// Engine cross-check: the detection matrix is a semantic
-			// statement about the protected program, so it must not
-			// depend on the execution backend.
+			// Path cross-check: the detection matrix is a semantic
+			// statement about the protected program, so the reference
+			// path (another engine, no fork points, no catalog) must
+			// reproduce it.
 			if opts.CrossEvery > 0 && done%opts.CrossEvery == 0 {
 				xcfg := cfg
-				xcfg.Engine = other
+				xcfg.Reload = true
 				xrep, err := campaign.Run(ctx, prot, xcfg)
 				if err != nil {
-					return nil, fmt.Errorf("corpus sweep: %s: cross-engine campaign: %w", prog.Name, err)
+					return nil, fmt.Errorf("corpus sweep: %s: reference-path campaign: %w", prog.Name, err)
 				}
 				if fp := matrixFP(xrep); fp != rec.MatrixFP {
-					return nil, fmt.Errorf("corpus sweep: %s: matrix diverges across engines: %s (%s) vs %s (%s)",
-						prog.Name, rec.MatrixFP, opts.Engine, fp, other)
+					return nil, fmt.Errorf("corpus sweep: %s: matrix diverges between paths: %s (production) vs %s (reference)",
+						prog.Name, rec.MatrixFP, fp)
 				}
 				rec.CrossChecked = true
 				out.CrossChecks++
@@ -425,27 +414,27 @@ func CorpusSweep(ctx context.Context, opts CorpusOptions) (*CorpusReport, error)
 	return out, nil
 }
 
-// CorpusEngineRow is the interp-vs-tb comparison on one big generated
-// image: the same enumerated campaign through the interpreter's reload
-// path, the interpreter's snapshot path, and the tb engine's snapshot
-// path. Wall-clock varies by host; matrix equality must not.
+// CorpusEngineRow compares the two execution paths on one big
+// generated image: the same enumerated campaign on the reference path
+// (interpreter, clone+reload) and the production path (tb,
+// snapshot/restore, fork points, shared catalog). Wall-clock varies by
+// host; matrix equality must not.
 type CorpusEngineRow struct {
 	Family              string  `json:"family"`
 	Seed                uint64  `json:"seed"`
 	TextBytes           int     `json:"text_bytes"`
 	Mutants             int     `json:"mutants"`
 	InterpReloadSeconds float64 `json:"interp_reload_seconds"`
-	InterpSnapSeconds   float64 `json:"interp_snap_seconds"`
 	TBSnapSeconds       float64 `json:"tb_snap_seconds"`
-	SnapSpeedup         float64 `json:"snap_speedup"` // interp reload / interp snap
-	TBSpeedup           float64 `json:"tb_speedup"`   // interp snap / tb snap
+	Speedup             float64 `json:"speedup"` // interp reload / tb snap
+	CatalogHitRate      float64 `json:"catalog_hit_rate"`
 	MatrixEqual         bool    `json:"matrix_equal"`
 }
 
-// CorpusEngines re-runs the engine table on generated images at the
-// sizes where snapshot/restore and translation caching actually have
-// something to amortize. Empty families means small/medium/huge —
-// 160 KiB, 1.6 MiB, 4 MiB.
+// CorpusEngines re-runs the path table on generated images at the
+// sizes where snapshot/restore, fork points and translation caching
+// actually have something to amortize. Empty families means
+// small/medium/huge — 160 KiB, 1.6 MiB, 4 MiB.
 func CorpusEngines(ctx context.Context, families []string, seed uint64, mutants, workers int) ([]CorpusEngineRow, error) {
 	if len(families) == 0 {
 		families = []string{"small", "medium", "huge"}
@@ -470,46 +459,21 @@ func CorpusEngines(ctx context.Context, families []string, seed uint64, mutants,
 		text := prot.Image.Text()
 		cfg := corpusCampaignConfig(CorpusOptions{Mutants: mutants, Workers: workers},
 			len(text.Data), fam.Params.CodeKiB)
-
-		run := func(engine emu.Engine, reload bool) (*campaign.Report, float64, error) {
-			c := cfg
-			c.Engine = engine
-			c.Reload = reload
-			start := time.Now()
-			rep, err := campaign.Run(ctx, prot, c)
-			return rep, time.Since(start).Seconds(), err
-		}
-		repReload, tReload, err := run("interp", true)
+		legs, err := comparePaths(ctx, prot, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("corpus engines: %s interp/reload: %w", prog.Name, err)
+			return nil, fmt.Errorf("corpus engines: %s %w", prog.Name, err)
 		}
-		repSnap, tSnap, err := run("interp", false)
-		if err != nil {
-			return nil, fmt.Errorf("corpus engines: %s interp/snap: %w", prog.Name, err)
-		}
-		repTB, tTB, err := run("tb", false)
-		if err != nil {
-			return nil, fmt.Errorf("corpus engines: %s tb/snap: %w", prog.Name, err)
-		}
-
-		row := CorpusEngineRow{
+		out = append(out, CorpusEngineRow{
 			Family:              name,
 			Seed:                seed,
 			TextBytes:           len(text.Data),
-			Mutants:             repSnap.Mutants,
-			InterpReloadSeconds: tReload,
-			InterpSnapSeconds:   tSnap,
-			TBSnapSeconds:       tTB,
-			MatrixEqual: matrixFP(repReload) == matrixFP(repSnap) &&
-				matrixFP(repSnap) == matrixFP(repTB),
-		}
-		if tSnap > 0 {
-			row.SnapSpeedup = tReload / tSnap
-		}
-		if tTB > 0 {
-			row.TBSpeedup = tSnap / tTB
-		}
-		out = append(out, row)
+			Mutants:             legs.report.Mutants,
+			InterpReloadSeconds: legs.refSeconds,
+			TBSnapSeconds:       legs.prodSeconds,
+			Speedup:             legs.speedup(),
+			CatalogHitRate:      legs.catalogHitRate,
+			MatrixEqual:         legs.matrixEqual,
+		})
 	}
 	return out, nil
 }

@@ -46,14 +46,6 @@ func TestCorpusPlan(t *testing.T) {
 	}
 }
 
-// The sweep runs the production engine unless told otherwise, like
-// every CLI; the cross-engine check re-derives under the interpreter.
-func TestCorpusDefaultEngine(t *testing.T) {
-	if got := (CorpusOptions{}).withDefaults().Engine; got != "tb" {
-		t.Errorf("default corpus engine %q, want tb", got)
-	}
-}
-
 func TestCorpusCampaignConfig(t *testing.T) {
 	cfg := corpusCampaignConfig(CorpusOptions{Mutants: 32}, 16*1024, 16)
 	if cfg.Stride < 7 || cfg.Stride%2 == 0 {
@@ -74,7 +66,7 @@ func TestCorpusCampaignConfig(t *testing.T) {
 }
 
 // TestCorpusSweepSmall drives the full sweep loop — generate, check,
-// baseline, measure, protect, campaign, cross-engine check, aggregate —
+// baseline, measure, protect, campaign, reference-path cross-check, aggregate —
 // over the minimum plan (one seed per small family) with a trimmed
 // mutant budget. The full-scale run lives in
 // `parallax-bench -experiment corpus`; this pins the machinery.
@@ -94,7 +86,7 @@ func TestCorpusSweepSmall(t *testing.T) {
 		t.Fatal("sweep produced no programs")
 	}
 	if rep.CrossChecks == 0 {
-		t.Error("no cross-engine checks ran")
+		t.Error("no reference-path cross-checks ran")
 	}
 	if rep.Overall.N != len(rep.Programs) {
 		t.Errorf("overall aggregates %d of %d programs", rep.Overall.N, len(rep.Programs))
@@ -126,12 +118,13 @@ func TestCorpusSweepSmall(t *testing.T) {
 	}
 }
 
-// TestCorpusEnginesTiny runs the three-engine comparison on the
-// smallest family: wall-clock numbers are host noise at this size, but
-// matrix equality across reload/snapshot/tb is a semantic invariant.
+// TestCorpusEnginesTiny runs the two-path comparison on the smallest
+// family: wall-clock numbers are host noise at this size, but matrix
+// equality between the reference and production paths is a semantic
+// invariant.
 func TestCorpusEnginesTiny(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("three engine campaigns; skipped under -short or the race detector")
+		t.Skip("two campaigns; skipped under -short or the race detector")
 	}
 	rows, err := CorpusEngines(context.Background(), []string{"tiny"}, 1, 8, 2)
 	if err != nil {
@@ -142,12 +135,12 @@ func TestCorpusEnginesTiny(t *testing.T) {
 	}
 	r := rows[0]
 	if !r.MatrixEqual {
-		t.Error("detection matrices diverge across reload/snapshot/tb engines")
+		t.Error("detection matrices diverge between the reference and production paths")
 	}
 	if r.Mutants == 0 || r.TextBytes == 0 {
 		t.Errorf("row not populated: %+v", r)
 	}
-	if r.SnapSpeedup <= 0 || r.TBSpeedup <= 0 {
-		t.Errorf("speedups not computed: %+v", r)
+	if r.Speedup <= 0 || r.CatalogHitRate <= 0 {
+		t.Errorf("speedup or catalog hit rate not computed: %+v", r)
 	}
 }
