@@ -56,13 +56,17 @@ go test -race ./...
 # protect-then-run levels, and holds the incremental gadget rescan to a
 # full scan (TestRescanMatchesScan, TestProtectIncrementalScanIdentical):
 # rescanned catalogs share *Gadget values across passes and, through
-# the farm's cache, across jobs.
+# the farm's cache, across jobs. It also pins what one compile per
+# protect job shares: the fixpoint passes' shallow copies of one base
+# object and the baseline linked from it (TestProtectDigestGolden), and
+# the farm's binary job key over every IR field and output-affecting
+# option (TestWriteKey*, TestJobKey*).
 echo "==> chaos smoke: seeded fault injection + checkpoint resume"
 go test -run 'TestChaosCampaignGraceful|TestCheckpoint' ./internal/campaign
 echo "==> chaos smoke (-race)"
 go test -race ./internal/chaos
-go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical' \
-    ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen ./internal/core
+go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical|TestProtectDigestGolden|TestWriteKey|TestJobKey' \
+    ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen ./internal/core ./internal/ir
 
 # Campaign-engine hard gate: run the same enumerated wget campaign on
 # the campaign's two execution paths — the reference path (interpreter,

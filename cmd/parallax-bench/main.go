@@ -472,8 +472,9 @@ func obsExperiment(progs string) error {
 		}
 		fmt.Println()
 	}
-	fmt.Println("scan and chain-compile repeat once per fixpoint pass (§IV-C: the")
-	fmt.Println("layout must converge before chain words can address gadgets).")
+	fmt.Println("layout, scan and chain-compile repeat once per fixpoint pass (§IV-C:")
+	fmt.Println("the layout must converge before chain words can address gadgets);")
+	fmt.Println("codegen and rewrite run once per job.")
 	return nil
 }
 

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -209,12 +210,6 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		}
 	}
 
-	// Baseline build for differential evaluation.
-	baseline, err := codegen.Build(m, opts.Layout)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline build: %w", err)
-	}
-
 	if opts.ChecksumChains && opts.ChainMode != dyngen.ModeStatic {
 		return nil, fmt.Errorf("core: chain checksumming requires static chains")
 	}
@@ -254,6 +249,34 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		}
 	}
 
+	// The application code is the same in every fixpoint pass, so it is
+	// compiled and rewritten once; each pass adds its loader stubs, pool
+	// and chain/frame data to a shallow copy of this object.
+	var obj *image.Object
+	var err error
+	opts.Obs.Stage("codegen", func() {
+		obj, err = codegen.Compile(work)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Baseline build for differential evaluation. When the working
+	// module is the caller's, the baseline links the shared object, and
+	// must do so before rewriting assigns fn.Items on its *image.Funcs.
+	var baseline *image.Image
+	if work == m {
+		baseline, err = image.Link(obj, opts.Layout)
+	} else {
+		baseline, err = codegen.Build(m, opts.Layout)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: baseline build: %w", err)
+	}
+	rewriteSites, err := rewriteImmediates(obj, work, verify, opts)
+	if err != nil {
+		return nil, err
+	}
+
 	// Frame sizes are layout-independent.
 	frameWords := make(map[string]int, len(verify))
 	for _, fn := range verify {
@@ -291,11 +314,9 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	)
 	const maxPasses = 10
 	stable := false
-	rewriteSites := 0
 	for pass := 0; pass < maxPasses && !stable; pass++ {
-		var err error
 		prevImg := img
-		img, rewriteSites, err = buildProtectedObject(work, verify, frameWords, opts, cfgs,
+		img, err = buildProtectedObject(obj, work, verify, frameWords, opts, cfgs,
 			chainLens, exitIdxs, offsLens, idxLens)
 		if err != nil {
 			return nil, err
@@ -473,50 +494,57 @@ func preferOverlap(img *image.Image, verify []string) func(*gadget.Gadget) bool 
 	}
 }
 
-// buildProtectedObject compiles the module, swaps verification
-// functions for loader stubs, adds the gadget pool and chain/frame
-// data, and links.
-func buildProtectedObject(m *ir.Module, verify []string, frameWords map[string]int,
-	opts Options, cfgs map[string]dyngen.Config,
-	chainLens, exitIdxs, offsLens, idxLens map[string]int) (*image.Image, int, error) {
-
-	var obj *image.Object
-	var err error
-	opts.Obs.Stage("codegen", func() {
-		obj, err = codegen.Compile(m)
-	})
-	if err != nil {
-		return nil, 0, err
+// rewriteImmediates applies the §IV-B2 rule to the compiled object:
+// it splits immediates in protected functions so gadgets overlap their
+// instructions, and returns the number of split sites. Verification
+// functions are excluded — their bodies become loader stubs.
+func rewriteImmediates(obj *image.Object, m *ir.Module, verify []string, opts Options) (int, error) {
+	if opts.DisableRewriting {
+		return 0, nil
 	}
-	rewriteSites := 0
-	if !opts.DisableRewriting {
-		// §IV-B2: split immediates in protected functions so gadgets
-		// overlap their instructions. Verification functions are
-		// excluded — their bodies become loader stubs.
-		targets := opts.ProtectFuncs
-		if len(targets) == 0 {
-			verifySet := make(map[string]bool, len(verify))
-			for _, v := range verify {
-				verifySet[v] = true
-			}
-			for _, f := range m.Funcs {
-				if !verifySet[f.Name] {
-					targets = append(targets, f.Name)
-				}
+	targets := opts.ProtectFuncs
+	if len(targets) == 0 {
+		verifySet := make(map[string]bool, len(verify))
+		for _, v := range verify {
+			verifySet[v] = true
+		}
+		for _, f := range m.Funcs {
+			if !verifySet[f.Name] {
+				targets = append(targets, f.Name)
 			}
 		}
-		var res *rewrite.SplitResult
-		opts.Obs.Stage("rewrite", func() {
-			res, err = rewrite.SplitImmediates(obj, targets)
-		})
-		if err == nil {
-			rewriteSites = res.Sites
-		} else if res == nil || res.Sites != 0 {
-			return nil, 0, err
-		}
+	}
+	var res *rewrite.SplitResult
+	var err error
+	opts.Obs.Stage("rewrite", func() {
+		res, err = rewrite.SplitImmediates(obj, targets)
+	})
+	if err == nil {
+		return res.Sites, nil
+	}
+	if res == nil || res.Sites != 0 {
+		return 0, err
+	}
+	return 0, nil // nothing to split is not a failure
+}
+
+// buildProtectedObject swaps verification functions for loader stubs,
+// adds the gadget pool and chain/frame data to a copy of the compiled
+// and rewritten base object, and links. The copy is shallow: the pass
+// edits only its own Funcs and Data slices (entries are replaced,
+// dropped or appended, never modified in place), and Link reads its
+// object without writing it, so every pass starts from the same base.
+func buildProtectedObject(base *image.Object, m *ir.Module, verify []string, frameWords map[string]int,
+	opts Options, cfgs map[string]dyngen.Config,
+	chainLens, exitIdxs, offsLens, idxLens map[string]int) (*image.Image, error) {
+
+	obj := &image.Object{
+		Funcs: slices.Clone(base.Funcs),
+		Data:  slices.Clone(base.Data),
+		Entry: base.Entry,
 	}
 	if err := chain.AddPool(obj, opts.PoolCopies); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	for _, fn := range verify {
 		f := m.Func(fn)
@@ -538,7 +566,7 @@ func buildProtectedObject(m *ir.Module, verify []string, frameWords map[string]i
 			Checker:      checker,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		replaceFunc(obj, loader)
 		size := chainLens[fn]
@@ -546,20 +574,21 @@ func buildProtectedObject(m *ir.Module, verify []string, frameWords map[string]i
 			size = 4 // pass-1 placeholder
 		}
 		if err := chain.ReserveData(obj, fn, size, frameWords[fn]); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if err := dyngen.Reserve(obj, cfg, size, offsLens[fn], idxLens[fn]); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	var img *image.Image
+	var err error
 	opts.Obs.Stage("layout", func() {
 		img, err = image.Link(obj, opts.Layout)
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return img, rewriteSites, nil
+	return img, nil
 }
 
 func replaceFunc(obj *image.Object, nf *image.Func) {

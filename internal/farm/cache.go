@@ -28,7 +28,7 @@ type key [sha256.Size]byte
 //     pass, so a later pass whose text differs in a few bytes decodes
 //     only the offsets those bytes can reach.
 //   - converged fixpoint layout sizes (core.Hints), keyed by the full
-//     job content (module text + options). A hint hit lets an
+//     job content (module + options). A hint hit lets an
 //     identical job converge in a single link→scan→compile pass, which
 //     in turn makes its one scan a guaranteed cache hit.
 //
@@ -150,25 +150,20 @@ func scanKey(img *image.Image, cfg gadget.ScanConfig) key {
 
 // jobKey addresses a whole protection job: the module content and
 // every Options field that influences the output image. ScanFunc,
-// Hints and Obs are deliberately excluded — accelerators and observers
-// never change output bytes, so they must not fragment the cache.
+// Hints, Obs, Engine and TBCatalog are deliberately excluded —
+// accelerators, observers and the profiling backend never change
+// output bytes, so they must not fragment the cache. The module is
+// hashed in ir's binary key encoding; the key lives only in memory, so
+// its bytes may change between versions.
 func jobKey(m *ir.Module, opts core.Options) key {
 	h := sha256.New()
-	// Module: the IR printer covers entry, funcs, blocks and
-	// instruction streams; global initial bytes are appended explicitly
-	// because the printer only records their sizes.
-	fmt.Fprintf(h, "module:%s\n", m)
-	for _, g := range m.Globals {
-		fmt.Fprintf(h, "global:%s:%d:%t:", g.Name, g.ByteSize(), g.ReadOnly)
-		h.Write(g.Init)
-		h.Write([]byte{'\n'})
-	}
+	m.WriteKey(h) // a hash never fails a write
 	fmt.Fprintf(h, "opts:verify=%q auto=%t pool=%d protect=%q norewrite=%t\n",
 		opts.VerifyFuncs, opts.AutoSelect, opts.PoolCopies,
 		opts.ProtectFuncs, opts.DisableRewriting)
-	fmt.Fprintf(h, "opts:mode=%d mu=%t cschk=%t probN=%d seed=%d\n",
+	fmt.Fprintf(h, "opts:mode=%d mu=%t cschk=%t compose=%d probN=%d seed=%d\n",
 		opts.ChainMode, opts.MuChains, opts.ChecksumChains,
-		opts.ProbVariants, opts.Seed)
+		opts.ComposeChecksum, opts.ProbVariants, opts.Seed)
 	fmt.Fprintf(h, "opts:layout=%d/%d/%d/%d\n",
 		opts.Layout.TextBase, opts.Layout.FuncAlign, opts.Layout.PadByte,
 		opts.Layout.PageSize)
