@@ -115,11 +115,22 @@ func BenchmarkMuChainAblation(b *testing.B) {
 }
 
 // BenchmarkProtect measures the protection pipeline itself (the static
-// analogue of a compiler benchmark).
+// analogue of a compiler benchmark): one cold core.Protect per
+// iteration of each hand-written program and of gen-medium-s1, with
+// B/op and allocs/op.
 func BenchmarkProtect(b *testing.B) {
-	for _, p := range corpus.All() {
+	medium, err := gen.FamilyByName("medium")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mediumS1, err := gen.FamilyProgram(medium, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range append(corpus.All(), mediumS1) {
 		b.Run(p.Name, func(b *testing.B) {
 			m := p.Build()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Protect(m, core.Options{

@@ -90,7 +90,15 @@ func (g *funcGen) storeVal(v ir.Value, r x86.Reg) {
 func blockLabel(name string) string { return ".b." + name }
 
 func compileFunc(f *ir.Func) (*image.Func, error) {
-	g := &funcGen{f: f}
+	// Presize items so a function is one allocation: the prologue and
+	// parameter copies take 4+2·NumParams items, and every corpus and
+	// generated function fits in 3 more per instruction or terminator.
+	// One that needs more grows by append.
+	n := 4 + 2*f.NumParams
+	for _, b := range f.Blocks {
+		n += 3 * (len(b.Insts) + 1)
+	}
+	g := &funcGen{f: f, items: make([]image.Item, 0, n)}
 
 	// Prologue.
 	g.emit(x86.Inst{Op: x86.PUSH, W: 32, Dst: x86.RegOp(x86.EBP)})

@@ -83,7 +83,7 @@ type Options struct {
 	// the paper concedes for any read-your-own-text defense.
 	ComposeChecksum int
 	// ProbVariants is the §V-B index-array count N for ModeProb;
-	// values below 2 mean 4.
+	// values below 2 mean dyngen.DefaultVariants.
 	ProbVariants int
 	// Seed drives key and basis derivation for dynamic modes.
 	Seed uint32
@@ -115,6 +115,21 @@ type Options struct {
 	// per stage. Nil disables all instrumentation; it never affects the
 	// output image.
 	Obs *obs.Registry
+}
+
+// Normalized returns opts with the defaults of fields whose distinct
+// values ask for the same output made explicit: PoolCopies below 1
+// becomes 2 and ProbVariants below 2 becomes dyngen.DefaultVariants.
+// Protect runs on normalized options, and a cache keyed by options
+// should hash them normalized, so that equivalent jobs share a key.
+func (opts Options) Normalized() Options {
+	if opts.PoolCopies < 1 {
+		opts.PoolCopies = 2
+	}
+	if opts.ProbVariants < 2 {
+		opts.ProbVariants = dyngen.DefaultVariants
+	}
+	return opts
 }
 
 // Hints captures the converged fixpoint sizes of a Protect run: chain
@@ -179,9 +194,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	if err := ir.Validate(m); err != nil {
 		return nil, err
 	}
-	if opts.PoolCopies < 1 {
-		opts.PoolCopies = 2
-	}
+	opts = opts.Normalized()
 
 	verify := append([]string(nil), opts.VerifyFuncs...)
 	if opts.AutoSelect {

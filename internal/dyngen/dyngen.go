@@ -39,12 +39,16 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
+// DefaultVariants is the ModeProb index-array count used when
+// Config.N is below 2.
+const DefaultVariants = 4
+
 // Config describes dynamic generation for one verification function.
 type Config struct {
 	Fn   string
 	Mode Mode
 	// N is the number of index arrays (variant count) for ModeProb;
-	// values below 2 mean 4.
+	// values below 2 mean DefaultVariants.
 	N int
 	// Seed drives key and basis derivation deterministically.
 	Seed uint32
@@ -52,7 +56,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.N < 2 {
-		c.N = 4
+		c.N = DefaultVariants
 	}
 	if c.Seed == 0 {
 		c.Seed = 0xA5A5A5A5

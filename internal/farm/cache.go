@@ -149,13 +149,16 @@ func scanKey(img *image.Image, cfg gadget.ScanConfig) key {
 }
 
 // jobKey addresses a whole protection job: the module content and
-// every Options field that influences the output image. ScanFunc,
+// every Options field that influences the output image, normalized as
+// core.Protect normalizes them so that equivalent options (PoolCopies
+// 0 and 2, say) share a key and its layout hints. ScanFunc,
 // Hints, Obs, Engine and TBCatalog are deliberately excluded —
 // accelerators, observers and the profiling backend never change
 // output bytes, so they must not fragment the cache. The module is
 // hashed in ir's binary key encoding; the key lives only in memory, so
 // its bytes may change between versions.
 func jobKey(m *ir.Module, opts core.Options) key {
+	opts = opts.Normalized()
 	h := sha256.New()
 	m.WriteKey(h) // a hash never fails a write
 	fmt.Fprintf(h, "opts:verify=%q auto=%t pool=%d protect=%q norewrite=%t\n",

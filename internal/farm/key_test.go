@@ -1,11 +1,13 @@
 package farm
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"parallax/internal/core"
 	"parallax/internal/corpus"
+	"parallax/internal/dyngen"
 )
 
 // keyExcluded lists the core.Options fields jobKey leaves out, each
@@ -74,11 +76,59 @@ func TestJobKeyCoversOptions(t *testing.T) {
 			}
 			continue
 		}
+		if f.Name == "ProbVariants" {
+			// 1 means the same as 0 (both normalize to
+			// dyngen.DefaultVariants); 3 is a distinct variant count.
+			check(f.Name, func(v reflect.Value) { v.SetInt(3) })
+			continue
+		}
 		check(f.Name, func(v reflect.Value) { nonZero(t, v) })
 	}
 	for name := range keyExcluded {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("keyExcluded names %s, which core.Options no longer has", name)
+		}
+	}
+}
+
+// TestJobKeyNormalizesOptions: options core.Protect treats alike get
+// one key — PoolCopies 0 and 2 protect gzip to the same bytes, and in
+// ModeProb ProbVariants 0, 1 and the default 4 are one variant count.
+func TestJobKeyNormalizesOptions(t *testing.T) {
+	p, err := corpus.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := p.Build()
+	opts := core.Options{VerifyFuncs: []string{p.VerifyFunc}}
+	pool2 := opts
+	pool2.PoolCopies = 2
+	if jobKey(m, opts) != jobKey(m, pool2) {
+		t.Error("PoolCopies 0 and 2 got different job keys")
+	}
+	var imgs [2][]byte
+	for i, o := range []core.Options{opts, pool2} {
+		prot, err := core.Protect(m, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := prot.Image.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		imgs[i] = buf.Bytes()
+	}
+	if !bytes.Equal(imgs[0], imgs[1]) {
+		t.Error("PoolCopies 0 and 2 protect gzip to different images")
+	}
+
+	prob := core.Options{VerifyFuncs: []string{p.VerifyFunc}, ChainMode: dyngen.ModeProb}
+	want := jobKey(m, prob)
+	for _, n := range []int{1, dyngen.DefaultVariants} {
+		o := prob
+		o.ProbVariants = n
+		if jobKey(m, o) != want {
+			t.Errorf("ProbVariants %d and 0 got different job keys", n)
 		}
 	}
 }

@@ -54,7 +54,13 @@ type funcLayout struct {
 	addr   uint32 // address of first instruction (after pad+align)
 	size   uint32
 	labels map[string]uint32 // local label → absolute address
-	offs   []uint32          // per-item offset from addr
+}
+
+// refSite is an encoded item whose 4-byte reference slot emit patches.
+type refSite struct {
+	fl   *funcLayout
+	item int    // index into fl.fn.Items
+	slot uint32 // offset of the slot in the text buffer
 }
 
 type linker struct {
@@ -62,6 +68,8 @@ type linker struct {
 	layout Layout
 
 	funcs []*funcLayout
+	text  []byte    // encoded .text, reference slots not yet patched
+	refs  []refSite // in text order
 	syms  map[string]Symbol
 	img   *Image
 }
@@ -96,69 +104,82 @@ func (l *linker) link() (*Image, error) {
 	return l.img, nil
 }
 
-// layoutText computes function addresses, sizes and local label
-// addresses. Item encodings are deterministic, so sizes computed here
-// are final.
+// farPlaceholder fills reference slots while encoding. Its large
+// magnitude forces the 32-bit form of every slot, so an item's size
+// does not depend on the value later patched in.
+const farPlaceholder = 0x7FFFFFF0
+
+// layoutText encodes every item once, at its final address, into one
+// text buffer that also holds the inter-function padding, and records
+// function addresses, sizes, local label addresses and the reference
+// slots emit patches. Encoding in address order works because no size
+// depends on an address: reference slots are sized by farPlaceholder
+// and every relative branch is rel32. Items are still encoded at their
+// real address, not at 0: a relative branch with a concrete Target and
+// no Ref jumps to an absolute address, so its bytes depend on where it
+// sits.
 func (l *linker) layoutText() error {
-	addr := l.layout.TextBase
+	base := l.layout.TextBase
 	l.funcs = make([]*funcLayout, 0, len(l.obj.Funcs))
+	// Generated text averages about 5 bytes per item, padding included;
+	// presizing spares regrowing a megabyte buffer.
+	n := 0
+	for _, fn := range l.obj.Funcs {
+		n += len(fn.Items)
+	}
+	text := make([]byte, 0, 6*n)
 	for _, fn := range l.obj.Funcs {
 		align := fn.Align
 		if align == 0 {
 			align = l.layout.FuncAlign
 		}
-		addr += fn.Pad
-		addr = alignUp(addr, align)
+		addr := alignUp(base+uint32(len(text))+fn.Pad, align)
+		for uint32(len(text)) < addr-base {
+			text = append(text, l.layout.PadByte)
+		}
 		fl := &funcLayout{fn: fn, addr: addr, labels: make(map[string]uint32)}
-		fl.offs = make([]uint32, len(fn.Items))
-		off := uint32(0)
 		for i := range fn.Items {
 			it := &fn.Items[i]
-			fl.offs[i] = off
+			start := len(text)
+			itemAddr := base + uint32(start)
 			if it.Label != "" {
 				if _, dup := fl.labels[it.Label]; dup {
 					return fmt.Errorf("image: %s: duplicate label %q", fn.Name, it.Label)
 				}
-				fl.labels[it.Label] = addr + off
+				fl.labels[it.Label] = itemAddr
 			}
-			n, err := itemSize(it)
+			if it.Raw != nil {
+				text = append(text, it.Raw...)
+				continue
+			}
+			inst, err := prepareInst(it, farPlaceholder)
 			if err != nil {
 				return fmt.Errorf("image: %s item %d: %w", fn.Name, i, err)
 			}
-			off += n
+			if text, err = x86.AppendEncode(text, inst, itemAddr); err != nil {
+				return fmt.Errorf("image: %s item %d: %w", fn.Name, i, err)
+			}
+			if it.Ref.Slot != RefNone {
+				pos, err := refPatchOffset(it, text[start:])
+				if err != nil {
+					return fmt.Errorf("image: %s item %d: %w", fn.Name, i, err)
+				}
+				l.refs = append(l.refs, refSite{fl: fl, item: i, slot: uint32(start + pos)})
+			}
 		}
-		fl.size = off
+		fl.size = base + uint32(len(text)) - addr
 		if _, dup := l.syms[fn.Name]; dup {
 			return fmt.Errorf("image: duplicate symbol %q", fn.Name)
 		}
 		l.syms[fn.Name] = Symbol{Name: fn.Name, Addr: fl.addr, Size: fl.size, Kind: SymFunc}
 		l.funcs = append(l.funcs, fl)
-		addr += off
 	}
+	l.text = text
 	return nil
 }
 
-// itemSize returns the encoded size of an item. For items with symbolic
-// references the reference slot is forced to its 32-bit form so the
-// size does not depend on the final symbol value.
-func itemSize(it *Item) (uint32, error) {
-	if it.Raw != nil {
-		return uint32(len(it.Raw)), nil
-	}
-	inst, err := prepareInst(it, 0x7FFFFFF0) // placeholder far address
-	if err != nil {
-		return 0, err
-	}
-	b, err := x86.Encode(inst, 0)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(len(b)), nil
-}
-
 // prepareInst returns the instruction with the symbolic slot filled by
-// value. A placeholder value with a large magnitude forces 32-bit
-// encodings during sizing.
+// value.
 func prepareInst(it *Item, value uint32) (x86.Inst, error) {
 	inst := it.Inst
 	switch it.Ref.Slot {
@@ -327,65 +348,32 @@ func (l *linker) layoutData(textEnd uint32) error {
 	return nil
 }
 
-// emit encodes all code and data with final symbol values and records
-// relocations.
+// emit patches the text's reference slots with final symbol values,
+// lays out the data sections and records relocations.
 func (l *linker) emit() error {
 	// Text.
-	text := l.img.Text()
-	var out []byte
-	addr := l.layout.TextBase
-	for _, fl := range l.funcs {
-		for addr+uint32(len(out))-l.layout.TextBase < fl.addr-l.layout.TextBase {
-			out = append(out, l.layout.PadByte)
+	for _, r := range l.refs {
+		it := &r.fl.fn.Items[r.item]
+		value, err := l.resolve(r.fl, it)
+		if err != nil {
+			return fmt.Errorf("image: %s item %d: %w", r.fl.fn.Name, r.item, err)
 		}
-		for i := range fl.fn.Items {
-			it := &fl.fn.Items[i]
-			itemAddr := fl.addr + fl.offs[i]
-			if it.Raw != nil {
-				out = append(out, it.Raw...)
-				continue
-			}
-			value, err := l.resolve(fl, it)
-			if err != nil {
-				return fmt.Errorf("image: %s item %d: %w", fl.fn.Name, i, err)
-			}
-			// Size with the placeholder, then patch, so that the final
-			// byte length matches layoutText.
-			inst, err := prepareInst(it, 0x7FFFFFF0)
-			if err != nil {
-				return fmt.Errorf("image: %s item %d: %w", fl.fn.Name, i, err)
-			}
-			enc, err := x86.Encode(inst, itemAddr)
-			if err != nil {
-				return fmt.Errorf("image: %s item %d: encode %v: %w", fl.fn.Name, i, inst, err)
-			}
-			if it.Ref.Slot != RefNone {
-				pos, err := refPatchOffset(it, enc)
-				if err != nil {
-					return fmt.Errorf("image: %s item %d: %w", fl.fn.Name, i, err)
-				}
-				siteAddr := itemAddr + uint32(pos)
-				var patched uint32
-				var kind RelocKind
-				if it.Ref.Slot == RefTarget {
-					patched = value - (siteAddr + 4)
-					kind = RelocRel32
-				} else {
-					patched = value
-					kind = RelocAbs32
-				}
-				putU32(enc[pos:], patched)
-				if !l.isLocal(fl, it.Ref.Sym) {
-					l.img.Relocs = append(l.img.Relocs, Reloc{
-						Addr: siteAddr, Kind: kind, Sym: it.Ref.Sym, Add: it.Ref.Add,
-					})
-				}
-			}
-			out = append(out, enc...)
+		siteAddr := l.layout.TextBase + r.slot
+		kind := RelocAbs32
+		if it.Ref.Slot == RefTarget {
+			value -= siteAddr + 4
+			kind = RelocRel32
+		}
+		putU32(l.text[r.slot:], value)
+		if !l.isLocal(r.fl, it.Ref.Sym) {
+			l.img.Relocs = append(l.img.Relocs, Reloc{
+				Addr: siteAddr, Kind: kind, Sym: it.Ref.Sym, Add: it.Ref.Add,
+			})
 		}
 	}
-	text.Data = out
-	text.Size = uint32(len(out))
+	text := l.img.Text()
+	text.Data = l.text
+	text.Size = uint32(len(l.text))
 
 	// Data sections.
 	for _, d := range l.obj.Data {
@@ -440,9 +428,6 @@ func (l *linker) isLocal(fl *funcLayout, sym string) bool {
 // resolve returns the absolute value of an item's symbolic reference.
 // Local labels shadow global symbols.
 func (l *linker) resolve(fl *funcLayout, it *Item) (uint32, error) {
-	if it.Ref.Slot == RefNone {
-		return 0, nil
-	}
 	if a, ok := fl.labels[it.Ref.Sym]; ok {
 		return a + uint32(it.Ref.Add), nil
 	}

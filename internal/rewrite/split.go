@@ -80,7 +80,16 @@ func SplitImmediates(obj *image.Object, funcs []string) (*SplitResult, error) {
 		if len(want) > 0 && !want[fn.Name] {
 			continue
 		}
-		var out []image.Item
+		n := 0
+		for i := range fn.Items {
+			if splittable(&fn.Items[i]) {
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		out := make([]image.Item, 0, len(fn.Items)+n)
 		for _, it := range fn.Items {
 			pair, ok := trySplit(it, splitPatterns[patIdx%len(splitPatterns)])
 			if !ok {
@@ -88,10 +97,10 @@ func SplitImmediates(obj *image.Object, funcs []string) (*SplitResult, error) {
 				continue
 			}
 			patIdx++
-			res.Sites++
-			res.PerFunc[fn.Name]++
-			out = append(out, pair...)
+			out = append(out, pair[:]...)
 		}
+		res.Sites += n
+		res.PerFunc[fn.Name] += n
 		fn.Items = out
 	}
 	if res.Sites == 0 {
@@ -100,52 +109,46 @@ func SplitImmediates(obj *image.Object, funcs []string) (*SplitResult, error) {
 	return res, nil
 }
 
-// trySplit rewrites one item if eligible, returning the replacement
-// pair.
-func trySplit(it image.Item, pat [4]byte) ([]image.Item, bool) {
+// splittable reports whether trySplit rewrites it.
+func splittable(it *image.Item) bool {
 	if it.Raw != nil || it.Ref.Slot != image.RefNone {
-		return nil, false
+		return false
 	}
-	in := it.Inst
+	in := &it.Inst
 	if in.W != 32 || in.Src.Kind != x86.KImm {
-		return nil, false
+		return false
 	}
-	imm := uint32(in.Src.Imm)
-	patImm := binary.LittleEndian.Uint32(pat[:])
-
 	switch in.Op {
 	case x86.MOV:
-		if in.Dst.Kind != x86.KMem {
-			// Register moves would need a scratch-free compensation;
-			// memory destinations (the common case for constants in
-			// this compiler) xor in place.
-			return nil, false
-		}
-		first := in
-		first.Src = x86.ImmOp(int32(patImm))
-		second := in
-		second.Op = x86.XOR
-		second.Src = x86.ImmOp(int32(imm ^ patImm))
-		return []image.Item{
-			{Label: it.Label, Inst: first},
-			{Inst: second},
-		}, true
-
+		// Register moves would need a scratch-free compensation;
+		// memory destinations (the common case for constants in this
+		// compiler) xor in place.
+		return in.Dst.Kind == x86.KMem
 	case x86.ADD, x86.SUB:
 		// Never touch stack-pointer arithmetic: the intermediate value
 		// must stay a valid pointer-free quantity, and prologue frame
 		// setup is too hot to double anyway.
-		if in.Dst.IsReg(x86.ESP) {
-			return nil, false
-		}
-		first := in
-		first.Src = x86.ImmOp(int32(patImm))
-		second := in
-		second.Src = x86.ImmOp(int32(imm - patImm))
-		return []image.Item{
-			{Label: it.Label, Inst: first},
-			{Inst: second},
-		}, true
+		return !in.Dst.IsReg(x86.ESP)
 	}
-	return nil, false
+	return false
+}
+
+// trySplit rewrites one item if it is splittable, returning the
+// replacement pair.
+func trySplit(it image.Item, pat [4]byte) ([2]image.Item, bool) {
+	if !splittable(&it) {
+		return [2]image.Item{}, false
+	}
+	in := it.Inst
+	patImm := binary.LittleEndian.Uint32(pat[:])
+	first := in
+	first.Src = x86.ImmOp(int32(patImm))
+	second := in
+	if in.Op == x86.MOV {
+		second.Op = x86.XOR
+		second.Src = x86.ImmOp(int32(uint32(in.Src.Imm) ^ patImm))
+	} else {
+		second.Src = x86.ImmOp(int32(uint32(in.Src.Imm) - patImm))
+	}
+	return [2]image.Item{{Label: it.Label, Inst: first}, {Inst: second}}, true
 }

@@ -16,29 +16,31 @@ var (
 )
 
 type encoder struct {
-	out  []byte
-	addr uint32
+	out   []byte
+	start int // len(out) before this instruction
+	addr  uint32
 }
 
 // Encode encodes inst at virtual address addr (needed to resolve
 // relative branch displacements from inst.Target). The returned slice is
 // freshly allocated.
 func Encode(inst Inst, addr uint32) ([]byte, error) {
-	e := encoder{out: make([]byte, 0, 8), addr: addr}
-	if err := e.encode(inst); err != nil {
+	b, err := AppendEncode(make([]byte, 0, 8), inst, addr)
+	if err != nil {
 		return nil, err
 	}
-	return e.out, nil
+	return b, nil
 }
 
-// MustEncode is Encode for statically known-valid instructions; it
-// panics on error and is intended for compiler-internal emission.
-func MustEncode(inst Inst, addr uint32) []byte {
-	b, err := Encode(inst, addr)
-	if err != nil {
-		panic(fmt.Sprintf("x86: MustEncode %v: %v", inst, err))
+// AppendEncode appends the encoding of inst at virtual address addr to
+// dst and returns the extended slice. On error it returns dst
+// unextended.
+func AppendEncode(dst []byte, inst Inst, addr uint32) ([]byte, error) {
+	e := encoder{out: dst, start: len(dst), addr: addr}
+	if err := e.encode(inst); err != nil {
+		return dst, err
 	}
-	return b
+	return e.out, nil
 }
 
 func (e *encoder) b(v ...byte) { e.out = append(e.out, v...) }
@@ -273,7 +275,7 @@ func (e *encoder) encode(inst Inst) error {
 // instruction, given the number of displacement+trailing bytes still to
 // be emitted.
 func (e *encoder) rel(target uint32, trailing int) int32 {
-	end := e.addr + uint32(len(e.out)) + uint32(trailing)
+	end := e.addr + uint32(len(e.out)-e.start) + uint32(trailing)
 	return int32(target - end)
 }
 

@@ -7,55 +7,57 @@ import (
 	"testing/quick"
 )
 
+// encodeGolden pairs instructions with their expected encodings.
+var encodeGolden = []struct {
+	name string
+	inst Inst
+	addr uint32
+	want []byte
+}{
+	{"push ebp", Inst{Op: PUSH, W: 32, Dst: RegOp(EBP)}, 0, []byte{0x55}},
+	{"mov ebp,esp", Inst{Op: MOV, W: 32, Dst: RegOp(EBP), Src: RegOp(ESP)}, 0,
+		[]byte{0x89, 0xE5}},
+	{"sub esp,0x18", Inst{Op: SUB, W: 32, Dst: RegOp(ESP), Src: ImmOp(0x18)}, 0,
+		[]byte{0x83, 0xEC, 0x18}},
+	{"add esp,0x1000", Inst{Op: ADD, W: 32, Dst: RegOp(ESP), Src: ImmOp(0x1000)}, 0,
+		[]byte{0x81, 0xC4, 0x00, 0x10, 0x00, 0x00}},
+	{"ret", Inst{Op: RET, W: 32}, 0, []byte{0xC3}},
+	{"retf", Inst{Op: RETF, W: 32}, 0, []byte{0xCB}},
+	{"xor eax,eax", Inst{Op: XOR, W: 32, Dst: RegOp(EAX), Src: RegOp(EAX)}, 0,
+		[]byte{0x31, 0xC0}},
+	{"mov eax,imm", Inst{Op: MOV, W: 32, Dst: RegOp(EAX), Src: ImmOp(0x1234)}, 0,
+		[]byte{0xB8, 0x34, 0x12, 0x00, 0x00}},
+	{"call forward", Inst{Op: CALL, W: 32, Rel: true, Target: 0x100A}, 0x1000,
+		[]byte{0xE8, 0x05, 0x00, 0x00, 0x00}},
+	{"call backward", Inst{Op: CALL, W: 32, Rel: true, Target: 0xFFB}, 0x1000,
+		[]byte{0xE8, 0xF6, 0xFF, 0xFF, 0xFF}},
+	{"jne", Inst{Op: JCC, W: 32, Cond: CondNE, Rel: true, Target: 0x10}, 0,
+		[]byte{0x0F, 0x85, 0x0A, 0x00, 0x00, 0x00}},
+	{"mov [esp],eax", Inst{Op: MOV, W: 32, Dst: MemOp(ESP, 0), Src: RegOp(EAX)}, 0,
+		[]byte{0x89, 0x04, 0x24}},
+	{"mov [ebp-8],eax", Inst{Op: MOV, W: 32, Dst: MemOp(EBP, -8), Src: RegOp(EAX)}, 0,
+		[]byte{0x89, 0x45, 0xF8}},
+	{"mov [ebp],eax", Inst{Op: MOV, W: 32, Dst: MemOp(EBP, 0), Src: RegOp(EAX)}, 0,
+		[]byte{0x89, 0x45, 0x00}},
+	{"mov eax,[abs]", Inst{Op: MOV, W: 32, Dst: RegOp(EAX), Src: MemAbs(0x2000)}, 0,
+		[]byte{0x8B, 0x05, 0x00, 0x20, 0x00, 0x00}},
+	{"lea full sib", Inst{Op: LEA, W: 32, Dst: RegOp(EAX),
+		Src: MemSIB(EDX, true, ECX, true, 4, 0x10)}, 0,
+		[]byte{0x8D, 0x44, 0x8A, 0x10}},
+	{"pop esp", Inst{Op: POP, W: 32, Dst: RegOp(ESP)}, 0, []byte{0x5C}},
+	{"sete al", Inst{Op: SETCC, W: 8, Cond: CondE, Dst: RegOp(EAX)}, 0,
+		[]byte{0x0F, 0x94, 0xC0}},
+	{"shl eax,4", Inst{Op: SHL, W: 32, Dst: RegOp(EAX), Src: ImmOp(4)}, 0,
+		[]byte{0xC1, 0xE0, 0x04}},
+	{"shr ebx,cl", Inst{Op: SHR, W: 32, Dst: RegOp(EBX), Src: RegOp(ECX)}, 0,
+		[]byte{0xD3, 0xEB}},
+	{"neg eax", Inst{Op: NEG, W: 32, Dst: RegOp(EAX)}, 0, []byte{0xF7, 0xD8}},
+	{"rep movsd", Inst{Op: MOVS, W: 32, Rep: true}, 0, []byte{0xF3, 0xA5}},
+	{"pushad", Inst{Op: PUSHAD, W: 32}, 0, []byte{0x60}},
+}
+
 func TestEncodeGolden(t *testing.T) {
-	tests := []struct {
-		name string
-		inst Inst
-		addr uint32
-		want []byte
-	}{
-		{"push ebp", Inst{Op: PUSH, W: 32, Dst: RegOp(EBP)}, 0, []byte{0x55}},
-		{"mov ebp,esp", Inst{Op: MOV, W: 32, Dst: RegOp(EBP), Src: RegOp(ESP)}, 0,
-			[]byte{0x89, 0xE5}},
-		{"sub esp,0x18", Inst{Op: SUB, W: 32, Dst: RegOp(ESP), Src: ImmOp(0x18)}, 0,
-			[]byte{0x83, 0xEC, 0x18}},
-		{"add esp,0x1000", Inst{Op: ADD, W: 32, Dst: RegOp(ESP), Src: ImmOp(0x1000)}, 0,
-			[]byte{0x81, 0xC4, 0x00, 0x10, 0x00, 0x00}},
-		{"ret", Inst{Op: RET, W: 32}, 0, []byte{0xC3}},
-		{"retf", Inst{Op: RETF, W: 32}, 0, []byte{0xCB}},
-		{"xor eax,eax", Inst{Op: XOR, W: 32, Dst: RegOp(EAX), Src: RegOp(EAX)}, 0,
-			[]byte{0x31, 0xC0}},
-		{"mov eax,imm", Inst{Op: MOV, W: 32, Dst: RegOp(EAX), Src: ImmOp(0x1234)}, 0,
-			[]byte{0xB8, 0x34, 0x12, 0x00, 0x00}},
-		{"call forward", Inst{Op: CALL, W: 32, Rel: true, Target: 0x100A}, 0x1000,
-			[]byte{0xE8, 0x05, 0x00, 0x00, 0x00}},
-		{"call backward", Inst{Op: CALL, W: 32, Rel: true, Target: 0xFFB}, 0x1000,
-			[]byte{0xE8, 0xF6, 0xFF, 0xFF, 0xFF}},
-		{"jne", Inst{Op: JCC, W: 32, Cond: CondNE, Rel: true, Target: 0x10}, 0,
-			[]byte{0x0F, 0x85, 0x0A, 0x00, 0x00, 0x00}},
-		{"mov [esp],eax", Inst{Op: MOV, W: 32, Dst: MemOp(ESP, 0), Src: RegOp(EAX)}, 0,
-			[]byte{0x89, 0x04, 0x24}},
-		{"mov [ebp-8],eax", Inst{Op: MOV, W: 32, Dst: MemOp(EBP, -8), Src: RegOp(EAX)}, 0,
-			[]byte{0x89, 0x45, 0xF8}},
-		{"mov [ebp],eax", Inst{Op: MOV, W: 32, Dst: MemOp(EBP, 0), Src: RegOp(EAX)}, 0,
-			[]byte{0x89, 0x45, 0x00}},
-		{"mov eax,[abs]", Inst{Op: MOV, W: 32, Dst: RegOp(EAX), Src: MemAbs(0x2000)}, 0,
-			[]byte{0x8B, 0x05, 0x00, 0x20, 0x00, 0x00}},
-		{"lea full sib", Inst{Op: LEA, W: 32, Dst: RegOp(EAX),
-			Src: MemSIB(EDX, true, ECX, true, 4, 0x10)}, 0,
-			[]byte{0x8D, 0x44, 0x8A, 0x10}},
-		{"pop esp", Inst{Op: POP, W: 32, Dst: RegOp(ESP)}, 0, []byte{0x5C}},
-		{"sete al", Inst{Op: SETCC, W: 8, Cond: CondE, Dst: RegOp(EAX)}, 0,
-			[]byte{0x0F, 0x94, 0xC0}},
-		{"shl eax,4", Inst{Op: SHL, W: 32, Dst: RegOp(EAX), Src: ImmOp(4)}, 0,
-			[]byte{0xC1, 0xE0, 0x04}},
-		{"shr ebx,cl", Inst{Op: SHR, W: 32, Dst: RegOp(EBX), Src: RegOp(ECX)}, 0,
-			[]byte{0xD3, 0xEB}},
-		{"neg eax", Inst{Op: NEG, W: 32, Dst: RegOp(EAX)}, 0, []byte{0xF7, 0xD8}},
-		{"rep movsd", Inst{Op: MOVS, W: 32, Rep: true}, 0, []byte{0xF3, 0xA5}},
-		{"pushad", Inst{Op: PUSHAD, W: 32}, 0, []byte{0x60}},
-	}
-	for _, tt := range tests {
+	for _, tt := range encodeGolden {
 		t.Run(tt.name, func(t *testing.T) {
 			got, err := Encode(tt.inst, tt.addr)
 			if err != nil {
@@ -65,6 +67,50 @@ func TestEncodeGolden(t *testing.T) {
 				t.Errorf("Encode(%v) = % x, want % x", tt.inst, got, tt.want)
 			}
 		})
+	}
+}
+
+// TestAppendEncode: appending to a non-empty prefix yields the prefix
+// followed by Encode's bytes, so relative displacements are computed
+// from addr, not from the prefix length. A failed append returns the
+// prefix unextended.
+func TestAppendEncode(t *testing.T) {
+	type tcase struct {
+		name string
+		inst Inst
+		addr uint32
+	}
+	cases := []tcase{
+		{"rel call", Inst{Op: CALL, W: 32, Rel: true, Target: 0x0804_9000}, 0x0804_8123},
+		{"rel jmp back", Inst{Op: JMP, W: 32, Rel: true, Target: 0x0804_8000}, 0x0804_8123},
+		{"rel jcc", Inst{Op: JCC, W: 32, Cond: CondL, Rel: true, Target: 0x10}, 0x7FFF_FFF0},
+	}
+	for _, g := range encodeGolden {
+		cases = append(cases, tcase{g.name, g.inst, g.addr})
+	}
+	prefixes := [][]byte{{0xCC}, bytes.Repeat([]byte{0x90}, 37)}
+	for _, tc := range cases {
+		want, err := Encode(tc.inst, tc.addr)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", tc.name, err)
+		}
+		for _, prefix := range prefixes {
+			// Full capacity forces a grow; spare capacity appends in place.
+			for _, dst := range [][]byte{bytes.Clone(prefix), append(make([]byte, 0, 64), prefix...)} {
+				got, err := AppendEncode(dst, tc.inst, tc.addr)
+				if err != nil {
+					t.Fatalf("%s: AppendEncode: %v", tc.name, err)
+				}
+				if !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+					t.Errorf("%s: AppendEncode(% x) = % x, want prefix ++ % x", tc.name, prefix, got, want)
+				}
+			}
+		}
+	}
+	prefix := []byte{1, 2, 3}
+	got, err := AppendEncode(prefix, Inst{Op: MOV, W: 32, Dst: MemOp(EAX, 0), Src: MemOp(EBX, 0)}, 0)
+	if err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("AppendEncode(mem-to-mem mov) = % x, %v; want the prefix and an error", got, err)
 	}
 }
 

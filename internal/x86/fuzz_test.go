@@ -11,7 +11,8 @@ import (
 // byte offset of every binary).
 //
 // For instructions inside the emitted subset — those Encode accepts —
-// the property is canonical idempotence: re-decoding the encoder's
+// AppendEncode onto the fuzz input must equal the input followed by
+// Encode's bytes, and the property is canonical idempotence: re-decoding the encoder's
 // bytes must succeed and re-encode to the identical byte string. The
 // original fuzz input is allowed to be a non-canonical spelling (x86
 // has redundant encodings), but the encoder's own output must be a
@@ -34,6 +35,10 @@ func FuzzDecode(f *testing.F) {
 			// Outside the emitted subset (decode-only form); no
 			// round-trip obligation.
 			return
+		}
+		if app, err := AppendEncode(bytes.Clone(b), inst, addr); err != nil ||
+			!bytes.Equal(app, append(bytes.Clone(b), enc...)) {
+			t.Fatalf("AppendEncode(% x, %v) = % x, %v; want input ++ % x", b, inst, app, err, enc)
 		}
 		if len(enc) > 15 {
 			t.Fatalf("encoded length %d > 15 for %v (from % x)", len(enc), inst, b)
