@@ -27,6 +27,13 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# The benchmark's program is the nested perfbench module, which the root
+# `./...` patterns skip. Build and vet it offline, with the settings
+# perfbench/run.sh uses, so an internal API change that breaks the
+# benchmark fails here.
+echo "==> perfbench: go build + go vet (nested module)"
+(cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off && go build ./... && go vet ./...)
+
 echo "==> go test -cover ./..."
 coverprofile=$(mktemp -t parallax-cover.XXXXXX)
 tbrecord=$(mktemp -t parallax-bench-tb.XXXXXX)

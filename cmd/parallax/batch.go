@@ -29,7 +29,6 @@ func cmdBatch(args []string) error {
 	outDir := fs.String("o", "", "directory to save protected images into (optional)")
 	metrics := fs.Bool("metrics", false, "collect farm/pipeline metrics and print them after the batch")
 	metricsFormat := fs.String("metrics-format", "json", "metrics output format: json|table")
-	engine := engineFlag(fs, "protection-time emulation")
 	fs.Parse(args)
 
 	var programs []corpus.Program
@@ -54,10 +53,6 @@ func cmdBatch(args []string) error {
 	}
 	if *rounds < 1 {
 		return fmt.Errorf("%w: -rounds must be >= 1", errUsage)
-	}
-	eng, err := parseEngine(*engine)
-	if err != nil {
-		return err
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o777); err != nil {
@@ -98,7 +93,6 @@ func cmdBatch(args []string) error {
 					ChainMode:   m,
 					Workload:    p.Stdin,
 					Obs:         reg,
-					Engine:      eng,
 				})
 				if err != nil {
 					return fmt.Errorf("submitting %s: %w", name, err)

@@ -14,6 +14,11 @@ type Class uint8
 // verification chain malfunctioned), a crash fault is detectable but
 // not attributable to the chain, a timeout is a hang killed by the
 // watchdog, and a silent success is a mutation the protection missed.
+// An infra error is a cell that did not measure the protection at all:
+// the harness infrastructure failed (injected or real: an allocation
+// failure, a poisoned restore, a worker crash) and the mutant's
+// detection outcome is unknown, not bad. Infra cells are excluded from
+// detection rates and are re-run on a checkpoint resume.
 const (
 	ClassChain Class = iota
 	ClassCrash
@@ -23,14 +28,6 @@ const (
 	ClassInfraError
 	numClasses
 )
-
-// KindInfraError is the fault-model name for ClassInfraError: the cell
-// did not measure the protection at all — the harness infrastructure
-// failed (injected or real: an allocation failure, a poisoned restore,
-// a worker crash) and the mutant's detection outcome is unknown, not
-// bad. Infra cells are excluded from detection rates and are re-run on
-// a checkpoint resume.
-const KindInfraError = ClassInfraError
 
 func (c Class) String() string {
 	switch c {

@@ -75,9 +75,6 @@ func TestPoolReplicationWidensClasses(t *testing.T) {
 	if popsTwo < 2*popsOne {
 		t.Errorf("replication did not widen: %d -> %d", popsOne, popsTwo)
 	}
-	if PoolSize(2) <= PoolSize(1) {
-		t.Error("PoolSize not monotonic")
-	}
 }
 
 func TestAddPoolRejectsDuplicate(t *testing.T) {

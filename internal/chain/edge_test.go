@@ -6,36 +6,6 @@ import (
 	"parallax/internal/image"
 )
 
-// TestPoolSizeMatchesLinkedBytes pins the pool-offset arithmetic:
-// PoolSize must equal the byte length of the linked pool function for
-// every replication factor, because dyngen sizes chain-data
-// reservations from PoolSize before the pool is ever linked. A
-// one-byte drift would shift every fallback gadget address.
-func TestPoolSizeMatchesLinkedBytes(t *testing.T) {
-	for _, copies := range []int{-1, 0, 1, 2, 3, 8} {
-		obj := &image.Object{}
-		if err := AddPool(obj, copies); err != nil {
-			t.Fatalf("copies=%d: %v", copies, err)
-		}
-		img, err := image.Link(obj, image.Layout{})
-		if err != nil {
-			t.Fatalf("copies=%d: link: %v", copies, err)
-		}
-		sym, err := img.Lookup(PoolFuncName)
-		if err != nil {
-			t.Fatalf("copies=%d: %v", copies, err)
-		}
-		if int(sym.Size) != PoolSize(copies) {
-			t.Errorf("copies=%d: linked pool is %d bytes, PoolSize says %d",
-				copies, sym.Size, PoolSize(copies))
-		}
-	}
-	// Values below 1 clamp to a single copy.
-	if PoolSize(0) != PoolSize(1) || PoolSize(-3) != PoolSize(1) {
-		t.Error("PoolSize does not clamp sub-1 replication to 1")
-	}
-}
-
 // TestPoolBytesBoundaries walks the linked pool byte-by-byte: it must
 // open with the fall-through guard ret, every replicated gadget must
 // sit at the exact offset the size arithmetic predicts, and each must

@@ -91,19 +91,6 @@ func Pool(copies int) *image.Func {
 	return f
 }
 
-// PoolSize returns the pool's byte length for the given replication
-// factor.
-func PoolSize(copies int) int {
-	if copies < 1 {
-		copies = 1
-	}
-	n := 1
-	for _, g := range poolGadgets {
-		n += len(g)
-	}
-	return 1 + (n-1)*copies
-}
-
 // AddPool appends the fallback pool to an object, failing on duplicate
 // insertion.
 func AddPool(obj *image.Object, copies int) error {

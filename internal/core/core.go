@@ -14,8 +14,6 @@ import (
 	"parallax/internal/chain"
 	"parallax/internal/codegen"
 	"parallax/internal/dyngen"
-	"parallax/internal/emu"
-	"parallax/internal/emu/tb"
 	"parallax/internal/gadget"
 	"parallax/internal/image"
 	"parallax/internal/ir"
@@ -37,18 +35,6 @@ type Options struct {
 	// Workload drives profiling for AutoSelect (stdin given to the
 	// program). May be nil.
 	Workload []byte
-	// Engine selects the execution backend for emulation Protect
-	// itself performs (today: the AutoSelect profiling run). "" or
-	// emu.Interp run the interpreter; emu.TB runs the translation-block
-	// engine (internal/emu/tb). Selection results are identical —
-	// the engines are differentially tested in lockstep — so this
-	// only trades profiling wall-clock.
-	Engine emu.Engine
-	// TBCatalog, when non-nil and Engine is emu.TB, shares translations
-	// between this run's engine and every other engine attached to the
-	// same catalog — the farm attaches one per Farm so repeated
-	// profiling of identical module bytes decodes them once.
-	TBCatalog *tb.Catalog
 
 	// PoolCopies replicates the fallback gadget pool; values below 1
 	// mean 2 (two copies give probabilistic generation room to vary).
@@ -117,17 +103,23 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// Normalized returns opts with the defaults of fields whose distinct
-// values ask for the same output made explicit: PoolCopies below 1
-// becomes 2 and ProbVariants below 2 becomes dyngen.DefaultVariants.
-// Protect runs on normalized options, and a cache keyed by options
-// should hash them normalized, so that equivalent jobs share a key.
+// Normalized returns opts with fields whose distinct values ask for
+// the same output collapsed to one value: PoolCopies below 1 becomes
+// 2; ProbVariants becomes dyngen.DefaultVariants when it is below 2 or
+// the chain mode is not ModeProb (only the probabilistic tables read
+// it); and Seed becomes 0 under static chains (only the dynamic modes
+// read it). Protect runs on normalized options, and a cache keyed by
+// options should hash them normalized, so that equivalent jobs share a
+// key.
 func (opts Options) Normalized() Options {
 	if opts.PoolCopies < 1 {
 		opts.PoolCopies = 2
 	}
-	if opts.ProbVariants < 2 {
+	if opts.ProbVariants < 2 || opts.ChainMode != dyngen.ModeProb {
 		opts.ProbVariants = dyngen.DefaultVariants
+	}
+	if opts.ChainMode == dyngen.ModeStatic {
+		opts.Seed = 0
 	}
 	return opts
 }
@@ -198,7 +190,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 
 	verify := append([]string(nil), opts.VerifyFuncs...)
 	if opts.AutoSelect {
-		sel, err := selectVerificationFunc(m, opts.Workload, opts.Engine, opts.TBCatalog)
+		sel, err := SelectVerificationFunc(m, opts.Workload)
 		if err != nil {
 			return nil, fmt.Errorf("core: auto-select: %w", err)
 		}

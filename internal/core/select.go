@@ -6,7 +6,6 @@ import (
 
 	"parallax/internal/codegen"
 	"parallax/internal/emu"
-	"parallax/internal/emu/tb"
 	"parallax/internal/image"
 	"parallax/internal/ir"
 	"parallax/internal/ropc"
@@ -25,14 +24,7 @@ import (
 // Only chain-compilable functions (no calls, no syscalls, not the
 // entry) are considered.
 func SelectVerificationFunc(m *ir.Module, workload []byte) (string, error) {
-	return selectVerificationFunc(m, workload, "", nil)
-}
-
-// selectVerificationFunc is SelectVerificationFunc with an explicit
-// execution backend for the profile run (Options.Engine semantics) and
-// an optional shared translation catalog for that backend.
-func selectVerificationFunc(m *ir.Module, workload []byte, engine emu.Engine, cat *tb.Catalog) (string, error) {
-	report, err := profileModule(m, workload, engine, cat)
+	report, err := ProfileModule(m, workload)
 	if err != nil {
 		return "", err
 	}
@@ -69,25 +61,6 @@ const SelectThreshold = 0.02
 // ProfileModule builds the module, runs it under the emulator with
 // per-address profiling, and aggregates per-function statistics.
 func ProfileModule(m *ir.Module, workload []byte) (*ProfileReport, error) {
-	return ProfileModuleEngine(m, workload, emu.Interp)
-}
-
-// ProfileModuleEngine is ProfileModule with an explicit execution
-// backend: "" or emu.Interp run the interpreter, emu.TB the
-// translation-block engine (internal/emu/tb), which replicates the
-// interpreter's per-address hit counting so the resulting profile is
-// identical — only the wall-clock differs.
-func ProfileModuleEngine(m *ir.Module, workload []byte, engine emu.Engine) (*ProfileReport, error) {
-	return profileModule(m, workload, engine, nil)
-}
-
-// profileModule is ProfileModuleEngine with an optional shared
-// translation catalog for the tb backend: a farm profiling the same
-// module bytes across jobs pays the decode+compile cost once.
-func profileModule(m *ir.Module, workload []byte, engine emu.Engine, cat *tb.Catalog) (*ProfileReport, error) {
-	if err := engine.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	img, err := codegen.Build(m, image.Layout{})
 	if err != nil {
 		return nil, err
@@ -98,16 +71,8 @@ func profileModule(m *ir.Module, workload []byte, engine emu.Engine, cat *tb.Cat
 	}
 	cpu.EnableProfile()
 	cpu.OS = emu.NewOS(workload)
-	var runErr error
-	if engine == emu.TB {
-		eng := tb.NewWithCatalog(cpu, nil, cat)
-		runErr = eng.Run()
-		eng.Close()
-	} else {
-		runErr = cpu.Run()
-	}
-	if runErr != nil {
-		return nil, fmt.Errorf("core: profile run failed: %w", runErr)
+	if err := cpu.Run(); err != nil {
+		return nil, fmt.Errorf("core: profile run failed: %w", err)
 	}
 
 	report := &ProfileReport{

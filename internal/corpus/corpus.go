@@ -154,11 +154,3 @@ func emitExit(fb *ir.FuncBuilder, status ir.Value) {
 	fb.Syscall(sysExit, st)
 	fb.RetVoid()
 }
-
-// emitWriteGlobal emits write(1, &g[0], n).
-func emitWriteGlobal(fb *ir.FuncBuilder, global string, n int32) {
-	fd := fb.Const(1)
-	buf := fb.Addr(global, 0)
-	ln := fb.Const(n)
-	fb.Syscall(sysWrite, fd, buf, ln)
-}

@@ -9,8 +9,7 @@ const (
 	tokSub = 1
 	tokMul = 2
 	tokXor = 3
-	tokShl = 4
-	tokMax = 5
+	tokShl = 4 // 5, max, is the dispatch's fall-through case
 )
 
 // BuildGcc models a compiler middle end: a stack evaluator folding a

@@ -165,15 +165,10 @@ func (c *CPU) SetOverlay(addr uint32, b []byte) {
 	c.codeVersion++
 }
 
-// ClearOverlay disarms the fetch overlay.
-func (c *CPU) ClearOverlay() {
-	c.overlay = nil
-	c.codeVersion++
-}
-
 // InvalidateCode must be called after out-of-band modification of
-// executable bytes that bypasses the Memory write paths (which bump
-// the code epoch themselves) so stale decodes are discarded.
+// executable bytes that bypasses the Memory write paths (which reach
+// the decode cache through Memory.OnCodeInvalidate) so stale decodes
+// are discarded.
 func (c *CPU) InvalidateCode() { c.codeVersion++ }
 
 // maxInstLen is the architectural x86 instruction length limit, and

@@ -508,17 +508,6 @@ func TestFetchOverlay(t *testing.T) {
 	if c.Status != 2 {
 		t.Errorf("status = %d, want overlaid 2", c.Status)
 	}
-
-	// Clearing the overlay restores original execution.
-	c2 := testCPU(t, code)
-	c2.SetOverlay(testTextBase, over)
-	c2.ClearOverlay()
-	if err := c2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Status != 1 {
-		t.Errorf("status after clear = %d, want 1", c2.Status)
-	}
 }
 
 func TestLahfSahf(t *testing.T) {

@@ -109,13 +109,6 @@ type Memory struct {
 	Budget uint64
 	mapped uint64
 
-	// codeEpoch counts modifications of executable bytes: any store or
-	// Poke that lands in a PermX segment bumps it. It is kept as a cheap
-	// coherence probe (CodeEpoch), but consumers that cache decoded or
-	// translated code register an OnCodeInvalidate hook instead and
-	// receive the exact modified range.
-	codeEpoch uint64
-
 	// onInval is the code-invalidation bus: every mutation of executable
 	// bytes — stores, Poke, CPU.Patch, Restore copying baseline pages
 	// back — notifies each registered hook with the affected range.
@@ -168,18 +161,13 @@ func (m *Memory) OnCodeInvalidate(fn func(lo, hi uint32)) (cancel func()) {
 	}
 }
 
-// notifyCodeInvalidate advances the code epoch and fans the modified
-// range out to every registered hook.
+// notifyCodeInvalidate fans the modified range out to every
+// registered hook.
 func (m *Memory) notifyCodeInvalidate(lo, hi uint32) {
-	m.codeEpoch++
 	for i := range m.onInval {
 		m.onInval[i].fn(lo, hi)
 	}
 }
-
-// CodeEpoch returns the executable-byte modification counter. Decode
-// caches built against one epoch must be discarded when it advances.
-func (m *Memory) CodeEpoch() uint64 { return m.codeEpoch }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory { return &Memory{} }

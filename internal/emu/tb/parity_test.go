@@ -201,7 +201,8 @@ func TestRunContextDeadline(t *testing.T) {
 
 // TestProfileParity checks the engine replicates Step's per-address hit
 // counting: profiles must be identical between backends (the property
-// core's AutoSelect -engine=tb relies on).
+// TestFallbackRateBudget relies on when it weighs fallback opcodes by
+// tb-recorded hit counts).
 func TestProfileParity(t *testing.T) {
 	p, err := corpus.ByName("bzip2")
 	if err != nil {

@@ -31,8 +31,6 @@ import (
 
 	"parallax/internal/chaos"
 	"parallax/internal/core"
-	"parallax/internal/emu"
-	"parallax/internal/emu/tb"
 	"parallax/internal/ir"
 	"parallax/internal/obs"
 )
@@ -99,14 +97,6 @@ type Farm struct {
 	jobTimeout time.Duration
 	chaos      *chaos.Injector
 
-	// tbCat is the farm-wide shared translation catalog, injected into
-	// every tb-engine job that did not bring its own: jobs profiling
-	// identical module bytes (cache-miss retries, option sweeps over
-	// one module) decode them once. Determinism is unaffected — the
-	// catalog changes which engine instance pays for a translation,
-	// never what any engine executes.
-	tbCat *tb.Catalog
-
 	// Deterministic-test seams; production values are realSleep and
 	// (*Farm).protect.
 	sleep     func(context.Context, time.Duration) error
@@ -136,7 +126,6 @@ func New(cfg Config) *Farm {
 		jobs:       make(chan *Job, cfg.Queue),
 		jobTimeout: cfg.JobTimeout,
 		chaos:      cfg.Chaos,
-		tbCat:      tb.NewCatalog(),
 		sleep:      realSleep,
 	}
 	f.protectFn = f.protect
@@ -214,10 +203,6 @@ type Result struct {
 	// HintUsed reports whether cached fixpoint sizes seeded this job.
 	HintUsed bool
 }
-
-// Done is closed when the job has finished (or was cancelled while
-// queued).
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Wait blocks until the job finishes or ctx expires. The error return
 // concerns the wait itself; a job failure is reported in Result.Err.
@@ -364,12 +349,6 @@ func (f *Farm) protect(j *Job) (prot *core.Protected, err error) {
 	}
 	opts := j.opts
 	k := jobKey(j.module, opts)
-	if opts.Engine == emu.TB && opts.TBCatalog == nil {
-		// Farm-wide translation sharing; like ScanFunc below, the
-		// injected field is ignored by jobKey (it affects cost, not
-		// output), so cache identity is unchanged.
-		opts.TBCatalog = f.tbCat
-	}
 	if opts.ScanFunc == nil {
 		opts.ScanFunc = f.cache.scanner(&f.om, &j.res.ScanHits, &j.res.ScanMisses, f.chaos)
 	}

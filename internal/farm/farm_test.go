@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"parallax/internal/core"
@@ -202,5 +203,35 @@ func TestFarmDifferentOptionsDifferentKeys(t *testing.T) {
 		if !bytes.Equal(imageBytes(t, seq.Image), imageBytes(t, got.Image)) {
 			t.Errorf("seed %d: farm image differs from sequential", seed)
 		}
+	}
+}
+
+// TestFarmAutoSelectMatchesProtect: an AutoSelect job runs the §VII-B
+// profile inside the farm, and its output is byte-identical to a
+// direct core.Protect of the same module and options.
+func TestFarmAutoSelectMatchesProtect(t *testing.T) {
+	p, err := corpus.ByName("wget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{AutoSelect: true, Workload: p.Stdin}
+	want, err := core.Protect(p.Build(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Config{Workers: 2})
+	defer f.Close()
+	got, err := f.Protect(context.Background(), "wget-auto", p.Build(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.VerifyFuncs, want.VerifyFuncs) {
+		t.Errorf("farm selected %v, core.Protect %v", got.VerifyFuncs, want.VerifyFuncs)
+	}
+	if !bytes.Equal(imageBytes(t, got.Image), imageBytes(t, want.Image)) {
+		t.Error("farm AutoSelect image differs from core.Protect")
+	}
+	if !bytes.Equal(imageBytes(t, got.Baseline), imageBytes(t, want.Baseline)) {
+		t.Error("farm AutoSelect baseline differs from core.Protect")
 	}
 }

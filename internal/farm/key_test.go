@@ -13,11 +13,9 @@ import (
 // keyExcluded lists the core.Options fields jobKey leaves out, each
 // with why it cannot change the output bytes.
 var keyExcluded = map[string]string{
-	"ScanFunc":  "scanner hook, observationally identical to gadget.Rescan",
-	"Hints":     "seeds the fixpoint, which still verifies convergence",
-	"Obs":       "instrumentation only",
-	"Engine":    "AutoSelect's profiling backend; the engines select alike",
-	"TBCatalog": "shares translations between engines, not what they run",
+	"ScanFunc": "scanner hook, observationally identical to gadget.Rescan",
+	"Hints":    "seeds the fixpoint, which still verifies convergence",
+	"Obs":      "instrumentation only",
 }
 
 // nonZero sets v, a zero value of any non-struct type, to a non-zero
@@ -48,41 +46,44 @@ func nonZero(t *testing.T, v reflect.Value) {
 // TestJobKeyCoversOptions: setting any output-affecting core.Options
 // field — each field of a struct-typed one separately — changes the
 // job key, and setting an excluded field does not. A new Options field
-// fails here until jobKey encodes it or keyExcluded names it.
+// fails here until jobKey encodes it or keyExcluded names it. Seed and
+// ProbVariants are perturbed from a ModeProb base: static chains read
+// neither, so static options normalize both away.
 func TestJobKeyCoversOptions(t *testing.T) {
 	p, err := corpus.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := p.Build()
-	base := jobKey(m, core.Options{})
+	prob := core.Options{ChainMode: dyngen.ModeProb}
 	typ := reflect.TypeOf(core.Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		_, excluded := keyExcluded[f.Name]
-		check := func(name string, set func(reflect.Value)) {
-			var opts core.Options
+		check := func(name string, from core.Options, set func(reflect.Value)) {
+			opts := from
 			set(reflect.ValueOf(&opts).Elem().Field(i))
-			switch changed := jobKey(m, opts) != base; {
+			switch changed := jobKey(m, opts) != jobKey(m, from); {
 			case excluded && changed:
 				t.Errorf("%s is excluded from the job key but changes it", name)
 			case !excluded && !changed:
 				t.Errorf("setting %s leaves the job key unchanged", name)
 			}
 		}
-		if f.Type.Kind() == reflect.Struct {
+		switch {
+		case f.Type.Kind() == reflect.Struct:
 			for j := 0; j < f.Type.NumField(); j++ {
-				check(f.Name+"."+f.Type.Field(j).Name, func(v reflect.Value) { nonZero(t, v.Field(j)) })
+				check(f.Name+"."+f.Type.Field(j).Name, core.Options{}, func(v reflect.Value) { nonZero(t, v.Field(j)) })
 			}
-			continue
-		}
-		if f.Name == "ProbVariants" {
+		case f.Name == "ProbVariants":
 			// 1 means the same as 0 (both normalize to
 			// dyngen.DefaultVariants); 3 is a distinct variant count.
-			check(f.Name, func(v reflect.Value) { v.SetInt(3) })
-			continue
+			check(f.Name, prob, func(v reflect.Value) { v.SetInt(3) })
+		case f.Name == "Seed":
+			check(f.Name, prob, func(v reflect.Value) { nonZero(t, v) })
+		default:
+			check(f.Name, core.Options{}, func(v reflect.Value) { nonZero(t, v) })
 		}
-		check(f.Name, func(v reflect.Value) { nonZero(t, v) })
 	}
 	for name := range keyExcluded {
 		if _, ok := typ.FieldByName(name); !ok {
@@ -92,8 +93,11 @@ func TestJobKeyCoversOptions(t *testing.T) {
 }
 
 // TestJobKeyNormalizesOptions: options core.Protect treats alike get
-// one key — PoolCopies 0 and 2 protect gzip to the same bytes, and in
-// ModeProb ProbVariants 0, 1 and the default 4 are one variant count.
+// one key — PoolCopies 0 and 2, and Seed and ProbVariants under static
+// chains, protect gzip to the same bytes; in ModeProb ProbVariants 0, 1
+// and the default 4 are one variant count, and outside ModeProb no
+// variant count is read. Options that do reach the output keep
+// distinct keys.
 func TestJobKeyNormalizesOptions(t *testing.T) {
 	p, err := corpus.ByName("gzip")
 	if err != nil {
@@ -103,33 +107,45 @@ func TestJobKeyNormalizesOptions(t *testing.T) {
 	opts := core.Options{VerifyFuncs: []string{p.VerifyFunc}}
 	pool2 := opts
 	pool2.PoolCopies = 2
-	if jobKey(m, opts) != jobKey(m, pool2) {
-		t.Error("PoolCopies 0 and 2 got different job keys")
-	}
-	var imgs [2][]byte
-	for i, o := range []core.Options{opts, pool2} {
+	seeded := opts
+	seeded.Seed, seeded.ProbVariants = 7, 3
+	var want struct{ img, base []byte }
+	for i, o := range []core.Options{opts, pool2, seeded} {
+		if jobKey(m, o) != jobKey(m, opts) {
+			t.Errorf("static options %d: job key differs from the defaults", i)
+		}
 		prot, err := core.Protect(m, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := prot.Image.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+		img, base := imageBytes(t, prot.Image), imageBytes(t, prot.Baseline)
+		if i == 0 {
+			want.img, want.base = img, base
+			continue
 		}
-		imgs[i] = buf.Bytes()
-	}
-	if !bytes.Equal(imgs[0], imgs[1]) {
-		t.Error("PoolCopies 0 and 2 protect gzip to different images")
+		if !bytes.Equal(img, want.img) || !bytes.Equal(base, want.base) {
+			t.Errorf("static options %d: gzip protects to different bytes than the defaults", i)
+		}
 	}
 
-	prob := core.Options{VerifyFuncs: []string{p.VerifyFunc}, ChainMode: dyngen.ModeProb}
-	want := jobKey(m, prob)
+	with := func(mode dyngen.Mode, seed uint32, n int) key {
+		o := opts
+		o.ChainMode, o.Seed, o.ProbVariants = mode, seed, n
+		return jobKey(m, o)
+	}
 	for _, n := range []int{1, dyngen.DefaultVariants} {
-		o := prob
-		o.ProbVariants = n
-		if jobKey(m, o) != want {
-			t.Errorf("ProbVariants %d and 0 got different job keys", n)
+		if with(dyngen.ModeProb, 0, n) != with(dyngen.ModeProb, 0, 0) {
+			t.Errorf("ModeProb: ProbVariants %d and 0 got different job keys", n)
 		}
+	}
+	if with(dyngen.ModeXor, 7, 0) == with(dyngen.ModeXor, 8, 0) {
+		t.Error("ModeXor: Seed 7 and 8 got one job key")
+	}
+	if with(dyngen.ModeXor, 7, 3) != with(dyngen.ModeXor, 7, 0) {
+		t.Error("ModeXor: ProbVariants 3 and 0 got different job keys")
+	}
+	if with(dyngen.ModeProb, 7, 3) == with(dyngen.ModeProb, 7, 4) {
+		t.Error("ModeProb: ProbVariants 3 and 4 got one job key")
 	}
 }
 

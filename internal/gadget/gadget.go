@@ -107,9 +107,6 @@ func (s *RegSet) Add(r x86.Reg) { *s |= 1 << r }
 // Has reports membership.
 func (s RegSet) Has(r x86.Reg) bool { return s&(1<<r) != 0 }
 
-// Without returns s minus r.
-func (s RegSet) Without(r x86.Reg) RegSet { return s &^ (1 << r) }
-
 func (s RegSet) String() string {
 	var parts []string
 	for r := x86.Reg(0); r < x86.NumRegs; r++ {
@@ -217,9 +214,6 @@ func NewCatalog(gs []*Gadget) *Catalog {
 	return c
 }
 
-// ByKind returns all gadgets of a kind.
-func (c *Catalog) ByKind(k Kind) []*Gadget { return c.byKind[k] }
-
 // Find returns chain-usable gadgets of kind k with the given dst/src
 // constraints; pass x86.NumRegs as a wildcard.
 func (c *Catalog) Find(k Kind, dst, src x86.Reg) []*Gadget {
@@ -237,16 +231,6 @@ func (c *Catalog) Find(k Kind, dst, src x86.Reg) []*Gadget {
 		out = append(out, g)
 	}
 	return out
-}
-
-// At returns the gadget starting at addr, or nil.
-func (c *Catalog) At(addr uint32) *Gadget {
-	for _, g := range c.Gadgets {
-		if g.Addr == addr {
-			return g
-		}
-	}
-	return nil
 }
 
 // CoveredBytes returns the union size of all gadget byte ranges within

@@ -44,12 +44,6 @@ func (mb *ModuleBuilder) Func(name string, numParams int) *FuncBuilder {
 // SetEntry marks the module entry function.
 func (mb *ModuleBuilder) SetEntry(name string) { mb.m.Entry = name }
 
-// Extern declares an externally-defined symbol for OpAddr use.
-func (mb *ModuleBuilder) Extern(name string) string {
-	mb.m.Externs = append(mb.m.Externs, name)
-	return name
-}
-
 // Build validates and returns the module.
 func (mb *ModuleBuilder) Build() (*Module, error) {
 	if err := Validate(mb.m); err != nil {

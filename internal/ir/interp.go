@@ -138,10 +138,6 @@ func (ip *Interp) CallFunc(name string, args ...uint32) (uint32, error) {
 	return ip.call(f, args)
 }
 
-// Exited reports whether the program terminated via the exit syscall,
-// and with which status.
-func (ip *Interp) Exited() (bool, int32) { return ip.exited, ip.status }
-
 func (ip *Interp) call(f *Func, args []uint32) (uint32, error) {
 	if len(args) != f.NumParams {
 		return 0, fmt.Errorf("ir: %s called with %d args, want %d",

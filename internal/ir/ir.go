@@ -307,16 +307,6 @@ func (m *Module) Func(name string) *Func {
 	return nil
 }
 
-// Global returns the named global, or nil.
-func (m *Module) Global(name string) *Global {
-	for _, g := range m.Globals {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
-}
-
 // EntryFunc returns the entry function.
 func (m *Module) EntryFunc() *Func {
 	if m.Entry != "" {

@@ -45,14 +45,6 @@ func (g *Gauge) Add(delta int64) {
 	g.v.Add(delta)
 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Value returns the current level (0 for a nil gauge).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -56,50 +56,6 @@ type TraceSink interface {
 	Emit(Event)
 }
 
-// RingSink keeps the most recent Cap events — attach it to a long run
-// and read the tail after the fact (the flight-recorder shape).
-type RingSink struct {
-	cap   int
-	buf   []Event
-	next  int
-	total uint64
-}
-
-// NewRingSink returns a ring buffer holding the last cap events
-// (minimum 1).
-func NewRingSink(cap int) *RingSink {
-	if cap < 1 {
-		cap = 1
-	}
-	return &RingSink{cap: cap}
-}
-
-// Emit records one event, evicting the oldest when full.
-func (s *RingSink) Emit(e Event) {
-	if len(s.buf) < s.cap {
-		s.buf = append(s.buf, e)
-	} else {
-		s.buf[s.next] = e
-	}
-	s.next = (s.next + 1) % s.cap
-	s.total++
-}
-
-// Total returns the number of events ever emitted.
-func (s *RingSink) Total() uint64 { return s.total }
-
-// Events returns the retained events oldest-first. The slice is freshly
-// allocated.
-func (s *RingSink) Events() []Event {
-	if len(s.buf) < s.cap {
-		return append([]Event(nil), s.buf...)
-	}
-	out := make([]Event, 0, s.cap)
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
-}
-
 // CaptureSink keeps the first Max events and counts the rest — the
 // golden-trace shape, where the head of the run is the regression
 // surface and the tail only matters as a count.

@@ -122,11 +122,9 @@ var immPatterns = [][]byte{
 	{0xC3},             // ret
 }
 
-// measureConfig bounds the hypothetical-scan windows.
-const (
-	backWindow = 24 // how far before a crafted ret gadget starts may lie
-	maxGadLen  = 24
-)
+// backWindow bounds the hypothetical-scan windows: how far before a
+// crafted ret a gadget's start may lie.
+const backWindow = 24
 
 // Measure computes the Figure 6 protectability report for an image.
 func Measure(img *image.Image) (*Report, error) {

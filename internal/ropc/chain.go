@@ -85,20 +85,6 @@ func (c *Chain) Bytes() []byte {
 	return out
 }
 
-// GadgetAddrs returns the distinct gadget addresses the chain uses —
-// the set whose integrity it implicitly verifies.
-func (c *Chain) GadgetAddrs() []uint32 {
-	seen := make(map[uint32]bool)
-	var out []uint32
-	for _, w := range c.Words {
-		if w.Kind == WGadget && !seen[w.Gadget.Addr] {
-			seen[w.Gadget.Addr] = true
-			out = append(out, w.Gadget.Addr)
-		}
-	}
-	return out
-}
-
 // Gadgets returns the distinct gadgets used by the chain.
 func (c *Chain) Gadgets() []*gadget.Gadget {
 	seen := make(map[uint32]bool)

@@ -1,9 +1,6 @@
 package x86
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder assembles a sequence of instructions at a fixed base address,
 // with forward-referencing labels. The zero value is not usable; create
@@ -160,28 +157,6 @@ func putU32(b []byte, v uint32) {
 	b[1] = byte(v >> 8)
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
-}
-
-// Labels returns all defined labels sorted by address.
-func (b *Builder) Labels() []struct {
-	Name string
-	Addr uint32
-} {
-	type la = struct {
-		Name string
-		Addr uint32
-	}
-	out := make([]la, 0, len(b.labels))
-	for n, a := range b.labels {
-		out = append(out, la{n, a})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // Disassemble performs a linear-sweep disassembly of code at the given

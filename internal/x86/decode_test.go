@@ -216,12 +216,3 @@ func TestDisassembleProgress(t *testing.T) {
 		t.Errorf("unexpected leading instructions: %v %v", insts[0], insts[1])
 	}
 }
-
-func TestCondNegate(t *testing.T) {
-	pairs := [][2]Cond{{CondE, CondNE}, {CondB, CondAE}, {CondL, CondGE}, {CondS, CondNS}}
-	for _, p := range pairs {
-		if p[0].Negate() != p[1] || p[1].Negate() != p[0] {
-			t.Errorf("Negate broken for %v/%v", p[0], p[1])
-		}
-	}
-}

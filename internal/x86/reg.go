@@ -106,7 +106,3 @@ func (c Cond) String() string {
 	}
 	return fmt.Sprintf("cond(%d)", uint8(c))
 }
-
-// Negate returns the logical negation of the condition code. x86 encodes
-// negation by flipping the lowest bit.
-func (c Cond) Negate() Cond { return c ^ 1 }
