@@ -37,7 +37,8 @@ echo "==> perfbench: go build + go vet (nested module)"
 echo "==> go test -cover ./..."
 coverprofile=$(mktemp -t parallax-cover.XXXXXX)
 tbrecord=$(mktemp -t parallax-bench-tb.XXXXXX)
-trap 'rm -f "$coverprofile" "$tbrecord"' EXIT
+benchbin=$(mktemp -t parallax-bench-bin.XXXXXX)
+trap 'rm -f "$coverprofile" "$tbrecord" "$benchbin"' EXIT
 go test -coverprofile="$coverprofile" ./...
 total=$(go tool cover -func="$coverprofile" | awk '/^total:/ {gsub(/%/,"",$3); print $3}')
 echo "    total statement coverage: ${total}% (baseline ${COVERAGE_BASELINE}%)"
@@ -82,23 +83,37 @@ go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconcili
 # the campaign's two execution paths — the reference path (interpreter,
 # clone+reload per mutant) and the production path (tb, snapshot/restore,
 # fork points, the campaign-wide shared translation catalog). The
-# detection matrices must be byte-identical (the experiment itself exits
-# non-zero and the IDENTICAL grep double-checks), and the production
-# path must be at least as fast as the reference path. Per-mutant time
-# is dominated by emulation, so the speed check allows 10% of wall-clock
-# noise rather than failing on scheduler jitter; the speedup column
-# (reference over production) is found by its header name.
+# detection matrices must be byte-identical on every run (the experiment
+# itself exits non-zero and the IDENTICAL grep double-checks), and the
+# production path must be at least as fast as the reference path. The
+# step runs engine_runs times and the speed check reads the median
+# speedup (reference over production, found by its header name), so one
+# run's scheduler jitter neither fails nor passes the gate alone; per
+# mutant time is dominated by emulation, so the bound still allows 10%
+# of wall-clock noise.
 echo "==> campaign-engine gate (production vs reference path, byte-identical matrices)"
-engine_out=$(go run ./cmd/parallax-bench -experiment campaign-engine -progs wget -mutants 96)
-echo "$engine_out"
-if ! grep -q "IDENTICAL" <<<"$engine_out"; then
-    echo "FAIL: campaign paths produced divergent detection matrices" >&2
-    exit 1
-fi
-speedup=$(awk '$1 == "program" { for (i = 1; i <= NF; i++) if ($i == "speedup") col = i }
-               col && $1 == "wget" { v = $col; gsub(/x$/, "", v); print v }' <<<"$engine_out")
-if [[ -z "$speedup" ]] || awk -v s="$speedup" 'BEGIN { exit !(s < 0.90) }'; then
-    echo "FAIL: production path slower than the reference path (speedup ${speedup:-unparsed}x)" >&2
+engine_runs=3
+go build -o "$benchbin" ./cmd/parallax-bench
+speedups=()
+for run in $(seq "$engine_runs"); do
+    engine_out=$("$benchbin" -experiment campaign-engine -progs wget -mutants 96)
+    echo "$engine_out"
+    if ! grep -q "IDENTICAL" <<<"$engine_out"; then
+        echo "FAIL: campaign paths produced divergent detection matrices (run $run)" >&2
+        exit 1
+    fi
+    speedup=$(awk '$1 == "program" { for (i = 1; i <= NF; i++) if ($i == "speedup") col = i }
+                   col && $1 == "wget" { v = $col; gsub(/x$/, "", v); print v }' <<<"$engine_out")
+    if [[ -z "$speedup" ]]; then
+        echo "FAIL: no speedup column in campaign-engine run $run" >&2
+        exit 1
+    fi
+    speedups+=("$speedup")
+done
+median=$(printf '%s\n' "${speedups[@]}" | sort -g | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }')
+echo "    speedups: ${speedups[*]} (median ${median}x, bound 0.90x)"
+if awk -v s="$median" 'BEGIN { exit !(s < 0.90) }'; then
+    echo "FAIL: production path slower than the reference path (median speedup ${median}x)" >&2
     exit 1
 fi
 

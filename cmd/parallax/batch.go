@@ -91,7 +91,6 @@ func cmdBatch(args []string) error {
 				j, err := f.Submit(ctx, name, p.Build(), core.Options{
 					VerifyFuncs: []string{p.VerifyFunc},
 					ChainMode:   m,
-					Workload:    p.Stdin,
 					Obs:         reg,
 				})
 				if err != nil {

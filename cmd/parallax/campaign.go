@@ -77,10 +77,10 @@ func cmdCampaign(args []string) error {
 	}
 
 	m := p.Build()
-	// Protection always profiles under the idle workload: campaigns with
-	// different -workload values must sweep the byte-identical image, or
-	// their matrices would not be comparable.
-	opts := core.Options{ChainMode: chainMode, Workload: p.Stdin, Obs: reg}
+	// Protection reads no workload, so campaigns with different
+	// -workload values sweep the byte-identical image and their matrices
+	// stay comparable.
+	opts := core.Options{ChainMode: chainMode, Obs: reg}
 	if *verify != "" {
 		if m.Func(*verify) == nil {
 			return usagef("no function %q in %s", *verify, p.Name)

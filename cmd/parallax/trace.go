@@ -66,7 +66,7 @@ func cmdTrace(args []string) error {
 			return fmt.Errorf("%w: %w", errUsage, err)
 		}
 		m := p.Build()
-		opts := core.Options{ChainMode: chainMode, Workload: p.Stdin}
+		opts := core.Options{ChainMode: chainMode}
 		if *verify != "" {
 			if m.Func(*verify) == nil {
 				return usagef("no function %q in %s", *verify, p.Name)

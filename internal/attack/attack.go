@@ -1,7 +1,8 @@
 // Package attack implements the adversary's toolbox from the paper's
 // threat model (§II-B) and attack-resistance analysis (§VI): static
-// code patching (software cracking), runtime patching (debuggers,
-// breakpoints), code-restore attacks, and the Wurster et al. split
+// code patching (software cracking), code-restore attacks built on
+// runtime patching (emu.CPU.Patch, as a debugger writes a breakpoint),
+// and the Wurster et al. split
 // instruction-/data-cache attack that defeats checksumming.
 //
 // Everything here operates on images and emulated CPUs; tests and
@@ -88,16 +89,6 @@ func InvertCond(img *image.Image, addr uint32) error {
 	return fmt.Errorf("attack: no conditional jump at %#x", addr)
 }
 
-// RuntimePatch pokes bytes into a running CPU's memory, bypassing
-// permissions — a debugger writing a software breakpoint or hook.
-func RuntimePatch(c *emu.CPU, addr uint32, b []byte) error {
-	if err := c.Mem.Poke(addr, b); err != nil {
-		return err
-	}
-	c.InvalidateCode()
-	return nil
-}
-
 // Restorer implements the §VI-A code-restore attack: patch code, let it
 // execute, then put the original bytes back hoping the verification
 // code never sees the modification.
@@ -114,7 +105,7 @@ func NewRestorer(c *emu.CPU, addr uint32, b []byte) (*Restorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := RuntimePatch(c, addr, b); err != nil {
+	if err := c.Patch(addr, b); err != nil {
 		return nil, err
 	}
 	return &Restorer{cpu: c, addr: addr, orig: orig, armed: true}, nil
@@ -126,7 +117,7 @@ func (r *Restorer) Restore() error {
 		return nil
 	}
 	r.armed = false
-	return RuntimePatch(r.cpu, r.addr, r.orig)
+	return r.cpu.Patch(r.addr, r.orig)
 }
 
 // Wurster arms the split-cache attack on a CPU: instruction fetches in

@@ -118,7 +118,7 @@ func TestRuntimePatchDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpu.OS = emu.NewOS(nil)
-	if err := RuntimePatch(cpu, g.Addr, []byte{0xCC}); err != nil {
+	if err := cpu.Patch(g.Addr, []byte{0xCC}); err != nil {
 		t.Fatal(err)
 	}
 	runErr := cpu.Run()

@@ -107,10 +107,11 @@ type Options struct {
 // the same output collapsed to one value: PoolCopies below 1 becomes
 // 2; ProbVariants becomes dyngen.DefaultVariants when it is below 2 or
 // the chain mode is not ModeProb (only the probabilistic tables read
-// it); and Seed becomes 0 under static chains (only the dynamic modes
-// read it). Protect runs on normalized options, and a cache keyed by
-// options should hash them normalized, so that equivalent jobs share a
-// key.
+// it); Seed becomes 0 under static chains (only the dynamic modes
+// read it); and Workload becomes nil without AutoSelect (only the
+// profile run reads it). Protect runs on normalized options, and a
+// cache keyed by options should hash them normalized, so that
+// equivalent jobs share a key.
 func (opts Options) Normalized() Options {
 	if opts.PoolCopies < 1 {
 		opts.PoolCopies = 2
@@ -120,6 +121,9 @@ func (opts Options) Normalized() Options {
 	}
 	if opts.ChainMode == dyngen.ModeStatic {
 		opts.Seed = 0
+	}
+	if !opts.AutoSelect {
+		opts.Workload = nil
 	}
 	return opts
 }

@@ -109,8 +109,6 @@ type CPU struct {
 	// data reads see the underlying memory.
 	overlay     map[uint32]byte
 	decodeCache map[uint32]x86.Inst
-	codeVersion uint64
-	cacheVer    uint64
 
 	// Optional per-address execution profile (instruction hit counts).
 	profile map[uint32]uint64
@@ -123,18 +121,11 @@ const DefaultMaxInst = 500_000_000
 func New() *CPU {
 	c := &CPU{Mem: NewMemory(), decodeCache: make(map[uint32]x86.Inst)}
 	// The decode cache is an ordinary code-invalidation consumer: any
-	// mutation of executable bytes (store, Poke, Patch, Restore page
-	// copy-back) evicts exactly the decodes whose windows can overlap
-	// the modified range. Overlay state is CPU-local and handled by
-	// codeVersion instead.
-	c.Mem.OnCodeInvalidate(c.onCodeInvalidate)
+	// change to fetched bytes (store, Poke, Patch, Restore page
+	// copy-back, SetOverlay) empties it wholesale. Within a run only
+	// self-modifying code reaches this hook, so precision buys nothing.
+	c.Mem.OnCodeInvalidate(func(lo, hi uint32) { clear(c.decodeCache) })
 	return c
-}
-
-// onCodeInvalidate is the CPU's hook on the memory bus: executable
-// bytes in [lo, hi) changed, so cached decodes overlapping them die.
-func (c *CPU) onCodeInvalidate(lo, hi uint32) {
-	c.evictDecodes(lo, hi-lo)
 }
 
 // LoadImage maps every section of img and a stack, and prepares the CPU
@@ -154,7 +145,10 @@ func (c *CPU) Profile() map[uint32]uint64 { return c.profile }
 
 // SetOverlay arms the fetch overlay with the given bytes at addr,
 // leaving data reads untouched. This is the Wurster et al. attack
-// primitive.
+// primitive. The overlaid range [addr, addr+len(b)) is announced on
+// the memory bus's code-invalidation hook, so every consumer caching
+// fetched bytes (the decode cache, translation engines) drops what
+// the overlay now shadows.
 func (c *CPU) SetOverlay(addr uint32, b []byte) {
 	if c.overlay == nil {
 		c.overlay = make(map[uint32]byte)
@@ -162,14 +156,8 @@ func (c *CPU) SetOverlay(addr uint32, b []byte) {
 	for i, v := range b {
 		c.overlay[addr+uint32(i)] = v
 	}
-	c.codeVersion++
+	c.Mem.notifyCodeInvalidate(addr, addr+uint32(len(b)))
 }
-
-// InvalidateCode must be called after out-of-band modification of
-// executable bytes that bypasses the Memory write paths (which reach
-// the decode cache through Memory.OnCodeInvalidate) so stale decodes
-// are discarded.
-func (c *CPU) InvalidateCode() { c.codeVersion++ }
 
 // maxInstLen is the architectural x86 instruction length limit, and
 // therefore the fetch window size.
@@ -214,16 +202,9 @@ func (c *CPU) fetchWindowAt(addr, eip uint32) (window []byte, missing uint32, er
 }
 
 // decode returns the instruction at EIP, consulting the decode cache.
-// Memory-path coherence is event-driven: every mutation of executable
-// bytes notifies the CPU's code-invalidation hook, which evicts the
-// overlapping decodes. The version check below covers only CPU-local
-// fetch state — overlay arm/disarm and explicit InvalidateCode — which
-// shadows arbitrary addresses and therefore flushes wholesale.
+// Coherence is event-driven: every change to fetched bytes notifies
+// the CPU's code-invalidation hook, which empties the cache.
 func (c *CPU) decode() (x86.Inst, error) {
-	if c.cacheVer != c.codeVersion {
-		c.decodeCache = make(map[uint32]x86.Inst)
-		c.cacheVer = c.codeVersion
-	}
 	if inst, ok := c.decodeCache[c.EIP]; ok {
 		return inst, nil
 	}
@@ -261,35 +242,11 @@ func (c *CPU) decodeAt(addr uint32) (x86.Inst, error) {
 
 // Patch pokes bytes into memory (permissions ignored, like Mem.Poke).
 // The code-invalidation bus carries the modified range to every
-// consumer — this CPU's decode cache evicts only the entries whose
-// windows can overlap the patched bytes, so a warm campaign worker
-// patching one mutation site per run keeps every other decode (and any
-// attached translation engine keeps its unaffected blocks).
+// consumer: this CPU's decode cache empties, and any attached
+// translation engine drops the blocks overlapping the patch and keeps
+// the rest.
 func (c *CPU) Patch(addr uint32, b []byte) error {
 	return c.Mem.Poke(addr, b)
-}
-
-// evictDecodeAll is the range size beyond which per-byte eviction
-// costs more than rebuilding the cache; evictDecodes flushes wholesale
-// instead.
-const evictDecodeAll = 1 << 15
-
-// evictDecodes drops cached decodes that may include any byte of
-// [addr, addr+n): an x86 instruction is at most maxInstLen bytes, so
-// entries starting up to maxInstLen-1 bytes before the range can
-// straddle into it.
-func (c *CPU) evictDecodes(addr, n uint32) {
-	if n >= evictDecodeAll {
-		clear(c.decodeCache)
-		return
-	}
-	lo := uint32(0)
-	if addr >= maxInstLen-1 {
-		lo = addr - (maxInstLen - 1)
-	}
-	for a := lo; a < addr+n; a++ {
-		delete(c.decodeCache, a)
-	}
 }
 
 // Step executes one instruction.

@@ -459,7 +459,6 @@ func TestManualROPChain(t *testing.T) {
 			if err := c.Mem.Poke(g2, []byte{0x90, 0x90}); err != nil {
 				t.Fatal(err)
 			}
-			c.InvalidateCode()
 		}
 		err := c.Run()
 		return c, err

@@ -39,12 +39,6 @@ func (c *CPU) Push32(v uint32) error { return c.push32(v) }
 // Pop32 pops a dword; ESP moves only after a successful load.
 func (c *CPU) Pop32() (uint32, error) { return c.pop32() }
 
-// CodeVersion returns the CPU-local fetch-state version, advanced by
-// overlay arm/disarm and InvalidateCode. Memory-path code mutations
-// flow through Memory.OnCodeInvalidate instead; an engine caching
-// translations must flush them wholesale when this version moves.
-func (c *CPU) CodeVersion() uint64 { return c.codeVersion }
-
 // OverlayActive reports whether the fetch overlay is armed: fetched
 // bytes may then differ from the bytes stored in memory, so anything
 // content-addressed by memory bytes (the shared translation catalog)

@@ -109,9 +109,10 @@ type Memory struct {
 	Budget uint64
 	mapped uint64
 
-	// onInval is the code-invalidation bus: every mutation of executable
+	// onInval is the code-invalidation bus: every change to fetched
 	// bytes — stores, Poke, CPU.Patch, Restore copying baseline pages
-	// back — notifies each registered hook with the affected range.
+	// back, CPU.SetOverlay — notifies each registered hook with the
+	// affected range.
 	onInval  []codeInvalHook
 	invalSeq uint64
 
@@ -127,21 +128,23 @@ type codeInvalHook struct {
 	fn func(lo, hi uint32)
 }
 
-// OnCodeInvalidate registers fn to be called whenever executable bytes
-// in some range [lo, hi) are modified, through any path: ordinary
-// stores into a PermX segment, Poke, CPU.Patch, or CPU.Restore copying
-// snapshot baselines back over a dirtied executable page. Consumers
-// that cache anything derived from code bytes (decoded instructions,
-// translated blocks) register here and evict precisely instead of
-// hardcoding calls into each mutation site.
+// OnCodeInvalidate registers fn to be called whenever the bytes an
+// instruction fetch sees in some range [lo, hi) change, through any
+// path: ordinary stores into a PermX segment, Poke, CPU.Patch,
+// CPU.Restore copying snapshot baselines back over a dirtied
+// executable page, or CPU.SetOverlay arming the fetch overlay. It is
+// the one channel through which consumers that cache anything derived
+// from code bytes (decoded instructions, translated blocks) learn of a
+// change; none of the mutation sites calls a consumer directly.
 //
 // The range is half-open on both sides of the bus, by convention:
 // every producer passes [first modified byte, one past the last) —
 // stores report [addr, addr+n), Poke the union of its executable
-// writes, Restore [page start, page end) per copied-back page — and
-// every subscriber must treat hi as exclusive (a cached range [a, b)
-// overlaps iff a < hi && lo < b). The boundary-byte regression tests
-// in internal/emu/tb hold both directions of that contract.
+// writes, Restore [page start, page end) per copied-back page,
+// SetOverlay [addr, addr+len(b)) — and every subscriber must treat hi
+// as exclusive (a cached range [a, b) overlaps iff a < hi && lo < b).
+// The boundary-byte regression tests in internal/emu/tb hold both
+// directions of that contract.
 //
 // The returned cancel function unregisters fn; after cancel returns,
 // the hook is never invoked again (including by later Snapshot/Restore

@@ -24,8 +24,6 @@ type Snapshot struct {
 	exited bool
 	status int32
 
-	overlay map[uint32]byte // copy of the fetch overlay (usually nil)
-
 	segs []segBaseline
 }
 
@@ -40,15 +38,13 @@ type segBaseline struct {
 type RestoreStats struct {
 	// DirtyPages is the number of 4 KiB pages copied back.
 	DirtyPages int
-	// CodeDirty is true when any restored page belonged to an
-	// executable segment; decodes cached from those pages were evicted.
-	CodeDirty bool
 }
 
-// Snapshot captures the full CPU state (registers, EIP, EFLAGS,
-// counters, exit state, fetch overlay) and a baseline of every mapped
-// segment, and arms per-page dirty tracking so a later Restore can copy
-// back only what ran since.
+// Snapshot captures the CPU state (registers, EIP, EFLAGS, counters,
+// exit state) and a baseline of every mapped segment, and arms
+// per-page dirty tracking so a later Restore can copy back only what
+// ran since. It does not capture the fetch overlay: Restore leaves an
+// armed overlay as it finds it.
 func (c *CPU) Snapshot() *Snapshot {
 	s := &Snapshot{
 		cpu:    c,
@@ -59,12 +55,6 @@ func (c *CPU) Snapshot() *Snapshot {
 		cycles: c.Cycles,
 		exited: c.Exited,
 		status: c.Status,
-	}
-	if c.overlay != nil {
-		s.overlay = make(map[uint32]byte, len(c.overlay))
-		for a, v := range c.overlay {
-			s.overlay[a] = v
-		}
 	}
 	s.segs = make([]segBaseline, 0, len(c.Mem.segs))
 	for _, seg := range c.Mem.segs {
@@ -93,9 +83,9 @@ func (seg *Segment) trackDirty() {
 // register/flag/counter/exit state is reset. Each restored executable
 // page is announced on the memory bus's code-invalidation hook, so
 // every consumer — this CPU's decode cache, any attached translation
-// engine — evicts exactly what the copy-back rewrote (those entries
-// describe the mutated bytes, not the restored ones) and keeps the
-// rest warm across mutants.
+// engine — drops what the copy-back rewrote (those entries describe
+// the mutated bytes, not the restored ones); a translation engine
+// keeps the rest warm across mutants.
 //
 // The snapshot must have been taken from this CPU.
 func (c *CPU) Restore(s *Snapshot) RestoreStats {
@@ -121,7 +111,6 @@ func (c *CPU) Restore(s *Snapshot) RestoreStats {
 				copy(seg.Data[lo:hi], sb.baseline[lo:hi])
 				st.DirtyPages++
 				if exec {
-					st.CodeDirty = true
 					c.Mem.notifyCodeInvalidate(seg.Addr+lo, seg.Addr+hi)
 				}
 			}
@@ -135,20 +124,6 @@ func (c *CPU) Restore(s *Snapshot) RestoreStats {
 	c.Cycles = s.cycles
 	c.Exited = s.exited
 	c.Status = s.status
-	// The restore announced every rewritten executable page on the
-	// invalidation bus above, which retired decodes and translations of
-	// the dead bytes. Restoring the overlay still costs a full flush
-	// (overlay bytes shadow arbitrary fetches).
-	if c.overlay != nil || s.overlay != nil {
-		c.overlay = nil
-		if s.overlay != nil {
-			c.overlay = make(map[uint32]byte, len(s.overlay))
-			for a, v := range s.overlay {
-				c.overlay[a] = v
-			}
-		}
-		c.codeVersion++
-	}
 	if c.profile != nil {
 		c.profile = make(map[uint32]uint64)
 	}

@@ -177,9 +177,6 @@ func TestSnapshotRestoreDataOnly(t *testing.T) {
 	if st.DirtyPages == 0 {
 		t.Error("restore saw no dirty pages despite a data store")
 	}
-	if st.CodeDirty {
-		t.Error("restore reported code dirty for a data-only run")
-	}
 	if c.Exited || c.EIP != testTextBase || c.Icount != 0 {
 		t.Errorf("post-restore state: exited=%t eip=%#x icount=%d", c.Exited, c.EIP, c.Icount)
 	}
@@ -196,10 +193,6 @@ func TestSnapshotRestoreDataOnly(t *testing.T) {
 	if c.Status != 7 || c.Icount != firstIcount {
 		t.Errorf("replay: status=%d icount=%d, want status=7 icount=%d",
 			c.Status, c.Icount, firstIcount)
-	}
-	// The replay must not have rebuilt the cache: same version keys.
-	if c.cacheVer != c.codeVersion {
-		t.Errorf("cacheVer = %d, want %d", c.cacheVer, c.codeVersion)
 	}
 }
 
@@ -226,9 +219,6 @@ func TestSnapshotRestoreAfterPoke(t *testing.T) {
 	}
 
 	st := c.Restore(snap)
-	if !st.CodeDirty {
-		t.Error("restore of a poked text page did not report code dirty")
-	}
 	if st.DirtyPages == 0 {
 		t.Error("restore saw no dirty pages despite a text poke")
 	}
@@ -240,75 +230,6 @@ func TestSnapshotRestoreAfterPoke(t *testing.T) {
 	}
 	if c.Status != 42 {
 		t.Errorf("restored run status = %d, want 42", c.Status)
-	}
-}
-
-// TestPatchKeepsWarmDecodes: CPU.Patch must evict only the decodes
-// that can overlap the patched bytes, so a warm campaign worker
-// cycling restore → patch → run keeps the rest of its decode cache
-// across mutants instead of re-decoding the whole text every time.
-func TestPatchKeepsWarmDecodes(t *testing.T) {
-	b := x86.NewBuilder(testTextBase)
-	for i := 0; i < 8; i++ {
-		b.I(ri(x86.MOV, x86.ECX, 1)) // padding: decodes far from the patch site
-	}
-	b.I(ri(x86.MOV, x86.EAX, 0))
-	b.I(ri(x86.ADD, x86.EAX, 500)) // imm32 form; the patch target
-	b.Label("after")
-	b.I(x86.Inst{Op: x86.RET, W: 32})
-	code, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, ok := b.LabelAddr("after")
-	if !ok {
-		t.Fatal("label after not recorded")
-	}
-	immAddr := after - 4 // the add's trailing imm32
-
-	c := testCPU(t, code)
-	snap := c.Snapshot()
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Status != 500 {
-		t.Fatalf("clean status = %d, want 500", c.Status)
-	}
-	c.Restore(snap)
-	warm := len(c.decodeCache)
-	if warm == 0 {
-		t.Fatal("no warm decodes survived a clean-run restore")
-	}
-
-	// Patch the immediate 500 -> 900. Only entries whose windows can
-	// reach the 4 patched bytes may be evicted.
-	if err := c.Patch(immAddr, []byte{0x84, 0x03, 0x00, 0x00}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(c.decodeCache); got == 0 || warm-got > 3 {
-		t.Errorf("decode cache %d -> %d entries after Patch, want targeted eviction of at most 3", warm, got)
-	}
-	if c.cacheVer != c.codeVersion {
-		t.Error("Patch left a full cache flush pending")
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Status != 900 {
-		t.Errorf("patched status = %d, want 900", c.Status)
-	}
-
-	// Cycle back: the restore evicts the patched page's decodes and the
-	// original bytes execute again.
-	st := c.Restore(snap)
-	if !st.CodeDirty {
-		t.Error("restore after a text Patch did not report code dirty")
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Status != 500 {
-		t.Errorf("restored status = %d, want 500", c.Status)
 	}
 }
 

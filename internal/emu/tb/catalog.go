@@ -60,7 +60,7 @@ type catVariant struct {
 // The catalog itself keeps no metrics: adoptions and installs are
 // counted by each Engine on its own registry (emu.tb.catalog_hits,
 // emu.tb.catalog_misses, emu.tb.catalog_installs), so the per-engine
-// reconciliation identity documented on Engine.flushAll holds and a
+// reconciliation identity documented on Engine.Close holds and a
 // campaign's shared registry aggregates every worker's counts.
 type Catalog struct {
 	mu      sync.RWMutex

@@ -3,6 +3,7 @@ package tb_test
 import (
 	"testing"
 
+	"parallax/internal/emu"
 	"parallax/internal/emu/tb"
 	"parallax/internal/obs"
 )
@@ -158,6 +159,64 @@ func TestCatalogOverlaySkipsBothDirections(t *testing.T) {
 	if got := c2.Reg[0]; got != 42 {
 		t.Fatalf("clean eax = %d, want 42", got)
 	}
+}
+
+// TestOverlayAfterWarmRun arms the Wurster fetch overlay over an
+// instruction that has already executed, so the interpreter's decode
+// cache and the engine's block map both hold the original bytes. The
+// overlay reaches both through the memory bus: the rerun executes the
+// overlaid bytes on either engine, the engine counts the killed block
+// as an invalidation, and the reconciliation identity still holds.
+func TestOverlayAfterWarmRun(t *testing.T) {
+	code := []byte{
+		0xB8, 0x2A, 0x00, 0x00, 0x00, // mov eax, 42
+		0xC3, // ret
+	}
+	overlay := []byte{0xB8, 0x07, 0x00, 0x00, 0x00} // mov eax, 7
+
+	// run executes the program twice from one snapshot — once warm-up,
+	// once with the overlay armed in between — and returns both EAX
+	// values.
+	run := func(t *testing.T, c *emu.CPU, exec func() error) (clean, overlaid uint32) {
+		t.Helper()
+		snap := c.Snapshot()
+		if err := exec(); err != nil {
+			t.Fatalf("warm run: %v", err)
+		}
+		clean = c.Reg[0]
+		c.Restore(snap)
+		c.SetOverlay(testBase, overlay)
+		if err := exec(); err != nil {
+			t.Fatalf("overlay run: %v", err)
+		}
+		return clean, c.Reg[0]
+	}
+
+	t.Run("interp", func(t *testing.T) {
+		c := loadWX(t, code)
+		if clean, got := run(t, c, c.Run); clean != 42 || got != 7 {
+			t.Fatalf("eax = %d then %d, want 42 then 7 (stale decode)", clean, got)
+		}
+	})
+
+	t.Run("tb", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		c := loadWX(t, code)
+		e := tb.New(c, reg)
+		if clean, got := run(t, c, e.Run); clean != 42 || got != 7 {
+			t.Fatalf("eax = %d then %d, want 42 then 7 (stale translation)", clean, got)
+		}
+		e.Close()
+		counter := func(name string) uint64 { return reg.Counter(name).Value() }
+		if got := counter("emu.tb.invalidations"); got != 1 {
+			t.Fatalf("invalidations = %d, want 1 (the overlaid block)", got)
+		}
+		born := counter("emu.tb.translations") + counter("emu.tb.catalog_hits")
+		died := counter("emu.tb.invalidations") + counter("emu.tb.flushes")
+		if born == 0 || born != died {
+			t.Fatalf("translations+hits = %d, invalidations+flushes = %d; want equal and non-zero", born, died)
+		}
+	})
 }
 
 // TestMetricsReconcile is the invalidations/flushes split regression:

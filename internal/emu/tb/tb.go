@@ -10,10 +10,11 @@
 // Direct jumps, conditional branches and direct calls chain block to
 // block without a dispatch-table lookup. Coherence rides the memory
 // bus's code-invalidation hooks (Memory.OnCodeInvalidate): stores into
-// executable segments, Poke, CPU.Patch and Restore page copy-back all
-// announce the modified range, and every overlapping translation dies
-// before the next op executes — self-modifying code runs its new
-// bytes, mid-block, exactly as it does under the interpreter.
+// executable segments, Poke, CPU.Patch, Restore page copy-back and
+// CPU.SetOverlay all announce the changed range, and every overlapping
+// translation dies before the next op executes — self-modifying code
+// runs its new bytes, mid-block, exactly as it does under the
+// interpreter.
 //
 // Instructions without a specialized micro-op fall back, one by one,
 // through CPU.ExecInst into the interpreter core after materializing
@@ -66,7 +67,6 @@ type Engine struct {
 	cpu    *emu.CPU
 	blocks map[uint32]*block
 	cc     ccState
-	cpuVer uint64 // CPU.CodeVersion at last wholesale flush
 	cancel func() // unregisters the code-invalidation hook
 
 	// Step cursor: position inside the block being single-stepped.
@@ -117,7 +117,6 @@ func NewWithCatalog(cpu *emu.CPU, reg *obs.Registry, cat *Catalog) *Engine {
 	e := &Engine{
 		cpu:            cpu,
 		blocks:         make(map[uint32]*block),
-		cpuVer:         cpu.CodeVersion(),
 		cat:            cat,
 		mTranslations:  reg.Counter("emu.tb.translations"),
 		mChainHits:     reg.Counter("emu.tb.chain_hits"),
@@ -134,12 +133,23 @@ func NewWithCatalog(cpu *emu.CPU, reg *obs.Registry, cat *Catalog) *Engine {
 
 // Close unregisters the engine from the invalidation bus and drops its
 // translations. The CPU remains usable (including by the interpreter).
+//
+// The teardown retirement counts into emu.tb.flushes, disjoint from
+// emu.tb.invalidations (the per-block coherence kills): every block the
+// engine ever held dies exactly once through one of the two counters,
+// so after Close, translations + catalog adoptions == invalidations +
+// flushes and a metrics report reconciles against hook-bus events.
 func (e *Engine) Close() {
 	if e.cancel != nil {
 		e.cancel()
 		e.cancel = nil
 	}
-	e.flushAll()
+	for _, b := range e.blocks {
+		b.dead = true
+	}
+	e.mFlushes.Add(uint64(len(e.blocks)))
+	e.blocks = make(map[uint32]*block)
+	e.curB = nil
 }
 
 // CPU returns the CPU the engine drives.
@@ -157,33 +167,10 @@ func (e *Engine) invalidate(lo, hi uint32) {
 	}
 }
 
-// flushAll retires every translation wholesale — overlay state
-// changed, or the engine is closing. Both paths count into
-// emu.tb.flushes, keeping it disjoint from emu.tb.invalidations (the
-// per-block coherence kills): every block the engine ever held dies
-// exactly once through one of the two counters, so after Close,
-// translations + catalog adoptions == invalidations + flushes and a
-// metrics report reconciles against hook-bus events.
-func (e *Engine) flushAll() {
-	n := uint64(len(e.blocks))
-	for _, b := range e.blocks {
-		b.dead = true
-	}
-	e.blocks = make(map[uint32]*block)
-	e.curB = nil
-	e.mFlushes.Add(n)
-}
-
 // lookup returns a live block starting at pc, translating one if
 // needed. The error is the same fetch/decode fault the interpreter's
 // own Step would report at pc.
 func (e *Engine) lookup(pc uint32) (*block, error) {
-	if cv := e.cpu.CodeVersion(); cv != e.cpuVer {
-		// Overlay arm/disarm or InvalidateCode: fetches may now see
-		// different bytes anywhere, so nothing translated survives.
-		e.flushAll()
-		e.cpuVer = cv
-	}
 	if b, ok := e.blocks[pc]; ok {
 		return b, nil
 	}
@@ -315,8 +302,7 @@ func (e *Engine) Step() error {
 	defer e.materialize()
 	e.dropRecorded()
 	b, i := e.curB, e.curI
-	if b == nil || b.dead || i >= len(b.ops) || b.ops[i].pc != c.EIP ||
-		e.cpuVer != c.CodeVersion() {
+	if b == nil || b.dead || i >= len(b.ops) || b.ops[i].pc != c.EIP {
 		var err error
 		b, err = e.lookup(c.EIP)
 		if err != nil {

@@ -48,7 +48,9 @@ func nonZero(t *testing.T, v reflect.Value) {
 // job key, and setting an excluded field does not. A new Options field
 // fails here until jobKey encodes it or keyExcluded names it. Seed and
 // ProbVariants are perturbed from a ModeProb base: static chains read
-// neither, so static options normalize both away.
+// neither, so static options normalize both away. Workload is perturbed
+// from an AutoSelect base, the only option that reads it; without
+// AutoSelect a workload-only difference must leave the key unchanged.
 func TestJobKeyCoversOptions(t *testing.T) {
 	p, err := corpus.ByName("gzip")
 	if err != nil {
@@ -56,6 +58,7 @@ func TestJobKeyCoversOptions(t *testing.T) {
 	}
 	m := p.Build()
 	prob := core.Options{ChainMode: dyngen.ModeProb}
+	auto := core.Options{AutoSelect: true}
 	typ := reflect.TypeOf(core.Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -81,6 +84,8 @@ func TestJobKeyCoversOptions(t *testing.T) {
 			check(f.Name, prob, func(v reflect.Value) { v.SetInt(3) })
 		case f.Name == "Seed":
 			check(f.Name, prob, func(v reflect.Value) { nonZero(t, v) })
+		case f.Name == "Workload":
+			check(f.Name, auto, func(v reflect.Value) { nonZero(t, v) })
 		default:
 			check(f.Name, core.Options{}, func(v reflect.Value) { nonZero(t, v) })
 		}
@@ -89,6 +94,10 @@ func TestJobKeyCoversOptions(t *testing.T) {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("keyExcluded names %s, which core.Options no longer has", name)
 		}
+	}
+	unread := core.Options{Workload: []byte("stdin")}
+	if jobKey(m, unread) != jobKey(m, core.Options{}) {
+		t.Error("a Workload without AutoSelect changes the job key, but only the profile run reads it")
 	}
 }
 
