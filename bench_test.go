@@ -13,13 +13,17 @@ package parallax
 // and see cmd/parallax-bench for the same data as plain tables.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"parallax/internal/attack"
 	"parallax/internal/campaign"
+	"parallax/internal/chain"
 	"parallax/internal/codegen"
 	"parallax/internal/core"
 	"parallax/internal/corpus"
@@ -31,6 +35,7 @@ import (
 	"parallax/internal/gadget"
 	"parallax/internal/image"
 	"parallax/internal/rewrite"
+	"parallax/internal/ropc"
 )
 
 // BenchmarkFig6Protectability regenerates Figure 6: protectable code
@@ -259,6 +264,60 @@ func BenchmarkGadgetScan(b *testing.B) {
 		}
 		bench(b, prot.Image.Text())
 	})
+}
+
+// BenchmarkChainCompile measures one chain compile of gen-medium-s1's
+// verification function against the module's protected catalog, which
+// is built once outside the timer, with the overlap preference
+// core.Protect passes: gadgets starting inside application code.
+func BenchmarkChainCompile(b *testing.B) {
+	fam, err := gen.FamilyByName("medium")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := gen.FamilyProgram(fam, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := p.Build()
+	prot, err := core.Protect(m, core.Options{VerifyFuncs: []string{p.VerifyFunc}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := prot.Image
+	var app []image.Symbol
+	for _, s := range img.Funcs() {
+		if !strings.HasPrefix(s.Name, "..") && s.Name != p.VerifyFunc {
+			app = append(app, s)
+		}
+	}
+	env := &ropc.Env{
+		Catalog: prot.Catalog,
+		GlobalAddr: func(name string) (uint32, bool) {
+			s, ok := img.Symbol(name)
+			return s.Addr, ok
+		},
+		Prefer: func(g *gadget.Gadget) bool {
+			i := sort.Search(len(app), func(i int) bool { return app[i].Addr+app[i].Size > g.Addr })
+			return i < len(app) && app[i].Addr <= g.Addr
+		},
+	}
+	f := m.Func(p.VerifyFunc)
+	frame := img.MustSymbol(chain.FrameSym(p.VerifyFunc)).Addr
+	ch, err := ropc.Compile(f, env, frame)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(ch.Bytes(), prot.Chains[p.VerifyFunc].Bytes()) {
+		b.Fatal("benchmark chain differs from the one core.Protect installed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ropc.Compile(f, env, frame); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkEmulator measures raw interpreter throughput

@@ -54,6 +54,8 @@ var callerAllowlist = map[string]string{
 	"x86.Builder.MovRegLabel":         "label builder for the x86 and emulator tests",
 	"x86.Builder.PushLabel":           "label builder for the x86 and emulator tests",
 	"x86.MemSIB":                      "SIB operand builder for the encoder, emulator and linker tests",
+	"difftest.raceEnabled":            "trims the lockstep corpus tests under the race detector",
+	"experiment.raceEnabled":          "trims the corpus and cold-coverage sweep tests under the race detector",
 
 	// Enum values whose position is their encoding.
 	"x86.CondNO": "condition code 1",
@@ -64,6 +66,7 @@ var callerAllowlist = map[string]string{
 // declSite is one package-level declaration under internal/.
 type declSite struct {
 	key   string // pkg.Name or pkg.Recv.Name
+	dir   string // the declaring package's directory
 	name  string
 	ident *ast.Ident
 }
@@ -72,14 +75,17 @@ type declSite struct {
 // every package-level func, method, type, const and var declared in a
 // non-test file under internal/ must be named by an identifier in some
 // non-test .go file of the repository — perfbench/ and examples/
-// included — other than its own declaring identifier. A declaration
+// included — other than its own declaring identifier; an unexported
+// declaration only by an identifier in its own package's directory,
+// the only place that can refer to it. A declaration
 // with no such identifier fails unless callerAllowlist names it with a
 // reason, and an allowlist entry that has a use or names nothing fails
 // too. Counting by name can miss dead code whose name collides with a
 // live one; it cannot flag live code.
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
-	uses := map[string]int{} // identifier name -> occurrences
+	uses := map[string]int{}               // identifier name -> occurrences
+	dirUses := map[string]map[string]int{} // directory -> identifier name -> occurrences
 	var decls []declSite
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -98,14 +104,19 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dirUses[dir] == nil {
+			dirUses[dir] = map[string]int{}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				uses[id.Name]++
+				dirUses[dir][id.Name]++
 			}
 			return true
 		})
-		if pkg, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/"); ok {
-			decls = append(decls, packageDecls(pkg, f)...)
+		if pkg, ok := strings.CutPrefix(dir, "internal/"); ok {
+			decls = append(decls, packageDecls(pkg, dir, f)...)
 		}
 		return nil
 	})
@@ -127,6 +138,9 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		}
 		seen[d.key] = true
 		n := uses[d.name] - declIdents[d.key]
+		if !ast.IsExported(d.name) {
+			n = dirUses[d.dir][d.name] - declIdents[d.key]
+		}
 		reason, allowed := callerAllowlist[d.key]
 		switch {
 		case n == 0 && !allowed:
@@ -148,12 +162,13 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	}
 }
 
-// packageDecls lists f's package-level declarations, keyed under pkg.
-func packageDecls(pkg string, f *ast.File) []declSite {
+// packageDecls lists f's package-level declarations, keyed under pkg,
+// the package in directory dir.
+func packageDecls(pkg, dir string, f *ast.File) []declSite {
 	var out []declSite
 	add := func(key string, id *ast.Ident) {
 		if id.Name != "_" {
-			out = append(out, declSite{key: key, name: id.Name, ident: id})
+			out = append(out, declSite{key: key, dir: dir, name: id.Name, ident: id})
 		}
 	}
 	for _, decl := range f.Decls {

@@ -61,8 +61,10 @@ go test -race ./...
 # -race pass also reconciles the farm's registry against its per-job
 # results under chaos (TestFarmReconciliation), replays the
 # incidental-read load-gadget regression at the gadget, compiler and
-# protect-then-run levels, and holds the incremental gadget rescan to a
-# full scan (TestRescanMatchesScan, TestProtectIncrementalScanIdentical):
+# protect-then-run levels, holds the compiler's per-compile gadget memo
+# to the uncached catalog walk (TestPickMatchesUncachedWalk), and holds
+# the incremental gadget rescan to a full scan (TestRescanMatchesScan,
+# TestProtectIncrementalScanIdentical):
 # rescanned catalogs share *Gadget values across passes and, through
 # the farm's cache, across jobs. It also pins what one compile per
 # protect job shares: the fixpoint passes' shallow copies of one base
@@ -76,7 +78,7 @@ echo "==> chaos smoke: seeded fault injection + checkpoint resume"
 go test -run 'TestChaosCampaignGraceful|TestCheckpoint' ./internal/campaign
 echo "==> chaos smoke (-race)"
 go test -race ./internal/chaos
-go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical|TestProtectDigestGolden|TestWriteKey|TestJobKey|TestLinkMatchesTwoPass|TestAppendEncode' \
+go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestPickMatchesUncachedWalk|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical|TestProtectDigestGolden|TestWriteKey|TestJobKey|TestLinkMatchesTwoPass|TestAppendEncode' \
     ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen ./internal/core ./internal/ir ./internal/image ./internal/x86
 
 # Campaign-engine hard gate: run the same enumerated wget campaign on

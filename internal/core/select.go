@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"parallax/internal/codegen"
 	"parallax/internal/emu"
@@ -141,6 +142,9 @@ func selectFromProfile(m *ir.Module, report *ProfileReport) (string, error) {
 	}
 
 	var best *FuncProfile
+	// excluded names, per rejected candidate, the first criterion that
+	// ruled it out; it becomes the error when nothing qualifies.
+	var excluded []string
 	names := make([]string, 0, len(report.Funcs))
 	for n := range report.Funcs {
 		names = append(names, n)
@@ -153,11 +157,18 @@ func selectFromProfile(m *ir.Module, report *ProfileReport) (string, error) {
 		}
 		// Step 1: called repeatedly — executed more than once at
 		// runtime, with at least one static call site.
-		if p.StaticCallSites < 1 || p.DynamicCalls < 2 {
+		if p.StaticCallSites < 1 {
+			excluded = append(excluded, n+" has no call site")
+			continue
+		}
+		if p.DynamicCalls < 2 {
+			excluded = append(excluded, fmt.Sprintf("%s ran %d times (needs 2)", n, p.DynamicCalls))
 			continue
 		}
 		// Step 2: cheap enough to translate.
 		if p.InstShare >= SelectThreshold {
+			excluded = append(excluded, fmt.Sprintf("%s takes %.1f%% of executed instructions (limit %g%%)",
+				n, 100*p.InstShare, 100*SelectThreshold))
 			continue
 		}
 		// Step 3: maximize operation diversity.
@@ -166,7 +177,11 @@ func selectFromProfile(m *ir.Module, report *ProfileReport) (string, error) {
 		}
 	}
 	if best == nil {
-		return "", fmt.Errorf("core: no function satisfies the selection criteria")
+		why := "no chainable function besides the entry"
+		if len(excluded) > 0 {
+			why = strings.Join(excluded, "; ")
+		}
+		return "", fmt.Errorf("core: no function satisfies the selection criteria: %s", why)
 	}
 	return best.Name, nil
 }

@@ -140,11 +140,8 @@ func textData(seed uint32, n int) []byte {
 	return out
 }
 
-// sysWrite/sysExit mirror the kernel ABI.
-const (
-	sysExit  = 1
-	sysWrite = 4
-)
+// sysExit mirrors the kernel ABI's exit call number.
+const sysExit = 1
 
 // emitExit emits exit(status & 0x7F) — corpus programs report a small
 // positive status so differential comparisons are easy.

@@ -48,6 +48,7 @@ func CompileWith(f *ir.Func, env *Env, frameBase uint32, opt Options) (*Chain, e
 		frameBase: frameBase,
 		labels:    make(map[string]int),
 		mu:        opt.Mu,
+		picks:     make(map[pickKey]*gadget.Gadget),
 	}
 	if err := c.run(); err != nil {
 		return nil, fmt.Errorf("ropc: compiling %s: %w", f.Name, err)
@@ -104,6 +105,18 @@ type compiler struct {
 	fixups      []fixup
 	exitPtrIdx  int
 	mu          bool
+
+	// picks memoizes pickChecked for this compile. The choice is a pure
+	// function of the catalog, Env.Prefer, the spec and the live set,
+	// and a chain asks for the same few dozen (spec, live) pairs over
+	// and over.
+	picks map[pickKey]*gadget.Gadget
+}
+
+// pickKey is what a gadget choice depends on within one compile.
+type pickKey struct {
+	spec Spec
+	live gadget.RegSet
 }
 
 func (c *compiler) slotAddr(v ir.Value) uint32 {
@@ -123,7 +136,7 @@ func (c *compiler) saveSlotAddr(i int) uint32 {
 // receives the index of the word that lands in its destination.
 func (c *compiler) emitGadget(spec Spec, live gadget.RegSet, value uint32,
 	valueSlot *int) error {
-	g, err := c.pickChecked(spec, live)
+	g, err := c.pick(spec, live)
 	if err != nil {
 		return err
 	}
@@ -149,7 +162,26 @@ func (c *compiler) emitGadget(spec Spec, live gadget.RegSet, value uint32,
 	return nil
 }
 
-// pickChecked adds structural safety requirements beyond Env.pick.
+// pick returns pickChecked's choice, walking the catalog only the
+// first time a (spec, live) pair is asked for. Misses are not cached:
+// the error ends the compile.
+func (c *compiler) pick(spec Spec, live gadget.RegSet) (*gadget.Gadget, error) {
+	k := pickKey{spec, live}
+	if g, ok := c.picks[k]; ok {
+		return g, nil
+	}
+	g, err := c.pickChecked(spec, live)
+	if err != nil {
+		return nil, err
+	}
+	c.picks[k] = g
+	return g, nil
+}
+
+// pickChecked walks every catalog gadget of the spec's kind and
+// returns the best-scoring one that is safe under live: overlap with
+// protected code (Env.Prefer) first, then the smallest stack footprint
+// and clobber set; ties go to the first in catalog order.
 func (c *compiler) pickChecked(spec Spec, live gadget.RegSet) (*gadget.Gadget, error) {
 	cands := c.env.Catalog.Find(spec.Kind, spec.Dst, spec.Src)
 	var best *gadget.Gadget
@@ -559,7 +591,7 @@ func (c *compiler) emitExit() error {
 	if c.pendingSkip != 0 {
 		return fmt.Errorf("internal: pending stack skip at chain exit")
 	}
-	g, err := c.pickChecked(Spec{Kind: gadget.KindPopEsp, Dst: anyReg, Src: anyReg}, live())
+	g, err := c.pick(Spec{Kind: gadget.KindPopEsp, Dst: anyReg, Src: anyReg}, live())
 	if err != nil {
 		return err
 	}
