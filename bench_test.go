@@ -46,7 +46,7 @@ func BenchmarkFig6Protectability(b *testing.B) {
 		b.Run(p.Name, func(b *testing.B) {
 			var rep *rewrite.Report
 			for i := 0; i < b.N; i++ {
-				img, err := codegen.Build(p.Build(), image.Layout{})
+				img, err := codegen.Build(p.Build())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func BenchmarkGadgetScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			gadget.ScanBytes(text.Data, text.Addr, gadget.ScanConfig{})
+			gadget.ScanBytes(text.Data, text.Addr)
 		}
 	}
 	b.Run("gcc", func(b *testing.B) {
@@ -243,7 +243,7 @@ func BenchmarkGadgetScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func BenchmarkChainCompile(b *testing.B) {
 	}
 	f := m.Func(p.VerifyFunc)
 	frame := img.MustSymbol(chain.FrameSym(p.VerifyFunc)).Addr
-	ch, err := ropc.Compile(f, env, frame)
+	ch, err := ropc.CompileWith(f, env, frame, ropc.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func BenchmarkChainCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ropc.Compile(f, env, frame); err != nil {
+		if _, err := ropc.CompileWith(f, env, frame, ropc.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func BenchmarkEmulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,8 +27,7 @@ func cmdBatch(args []string) error {
 	rounds := fs.Int("rounds", 1, "times to protect the whole matrix (round 2+ hits the warm cache)")
 	timeout := fs.Duration("timeout", 10*time.Minute, "abort the batch after this long (0 = none)")
 	outDir := fs.String("o", "", "directory to save protected images into (optional)")
-	metrics := fs.Bool("metrics", false, "collect farm/pipeline metrics and print them after the batch")
-	metricsFormat := fs.String("metrics-format", "json", "metrics output format: json|table")
+	metrics := metricsFlags(fs, "collect farm/pipeline metrics and print them after the batch", metricsJSON)
 	fs.Parse(args)
 
 	var programs []corpus.Program
@@ -54,6 +53,10 @@ func cmdBatch(args []string) error {
 	if *rounds < 1 {
 		return fmt.Errorf("%w: -rounds must be >= 1", errUsage)
 	}
+	withMetrics, metricsFmt, err := metrics()
+	if err != nil {
+		return err
+	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o777); err != nil {
 			return fmt.Errorf("creating output directory: %w", err)
@@ -67,11 +70,8 @@ func cmdBatch(args []string) error {
 		defer cancel()
 	}
 
-	if *metricsFormat != "json" && *metricsFormat != "table" {
-		return usagef("bad -metrics-format %q (want json|table)", *metricsFormat)
-	}
 	var reg *obs.Registry
-	if *metrics {
+	if withMetrics {
 		reg = obs.NewRegistry()
 	}
 
@@ -133,7 +133,7 @@ func cmdBatch(args []string) error {
 	}
 	fmt.Printf("total: %s\n", f.Stats())
 	if reg != nil {
-		if err := writeMetrics(reg, *metricsFormat); err != nil {
+		if err := writeMetrics(reg, metricsFmt); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}

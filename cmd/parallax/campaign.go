@@ -30,8 +30,7 @@ func cmdCampaign(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-mutant wall-clock watchdog")
 	kindsFlag := fs.String("kinds", "", "mutation kinds, comma-separated: bitflip,byteset,nopsweep,serial (default all)")
 	reuseVM := fs.Bool("reuse-vm", true, "production path: tb, one snapshot/restore emulator per worker, fork points, shared catalog (false = reference path: interpreter, clone+reload per mutant)")
-	metrics := fs.Bool("metrics", false, "collect pipeline/emulator/farm metrics and print them after the matrix")
-	metricsFormat := fs.String("metrics-format", "json", "metrics output format: json|table")
+	metrics := metricsFlags(fs, "collect pipeline/emulator/farm metrics and print them after the matrix", metricsJSON)
 	checkpoint := fs.String("checkpoint", "", "append-only resume journal: a killed campaign re-run with the same flags and journal resumes where it stopped")
 	chaosSpec := fs.String("chaos", "", "fault-injection plan, comma-separated point:prob[:count[:delay]] entries (e.g. campaign.mutant:0.05,emu.budget:0.01:4)")
 	chaosSeed := fs.Uint64("chaos-seed", 1, "seed for the deterministic fault-injection plan")
@@ -53,9 +52,9 @@ func cmdCampaign(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-
-	if *metricsFormat != "json" && *metricsFormat != "table" {
-		return usagef("bad -metrics-format %q (want json|table)", *metricsFormat)
+	withMetrics, metricsFmt, err := metrics()
+	if err != nil {
+		return err
 	}
 
 	// With -metrics the protection runs through a one-shot farm so the
@@ -63,7 +62,7 @@ func cmdCampaign(args []string) error {
 	// spans and the per-mutant emulator counters. Without it, reg stays
 	// nil and every recording site below is a disabled nil check.
 	var reg *obs.Registry
-	if *metrics {
+	if withMetrics {
 		reg = obs.NewRegistry()
 	}
 
@@ -120,16 +119,40 @@ func cmdCampaign(args []string) error {
 	fmt.Printf("tamper campaign: %s (%s chains, stride %d)\n%s",
 		p.Name, *mode, *stride, rep)
 	if reg != nil {
-		if err := writeMetrics(reg, *metricsFormat); err != nil {
+		if err := writeMetrics(reg, metricsFmt); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}
 	return nil
 }
 
+// metricsFormat is how a command prints its metrics report.
+type metricsFormat string
+
+const (
+	metricsJSON  metricsFormat = "json"
+	metricsTable metricsFormat = "table"
+)
+
+// metricsFlags registers -metrics, described by usage, and
+// -metrics-format, defaulting to def, on fs. After fs.Parse the
+// returned function reports whether -metrics was given and the
+// format, or a usage error for a format other than json or table.
+func metricsFlags(fs *flag.FlagSet, usage string, def metricsFormat) func() (bool, metricsFormat, error) {
+	on := fs.Bool("metrics", false, usage)
+	format := fs.String("metrics-format", string(def), "metrics output format: json|table")
+	return func() (bool, metricsFormat, error) {
+		f := metricsFormat(*format)
+		if f != metricsJSON && f != metricsTable {
+			return false, "", usagef("bad -metrics-format %q (want json|table)", *format)
+		}
+		return *on, f, nil
+	}
+}
+
 // writeMetrics snapshots the registry, attaches the derived cache
-// hit-rates, and prints it to stdout in the requested format.
-func writeMetrics(reg *obs.Registry, format string) error {
+// hit-rates, and prints it to stdout in the given format.
+func writeMetrics(reg *obs.Registry, format metricsFormat) error {
 	rep := reg.Snapshot()
 	if hits, misses := rep.Counters["farm.scan_cache_hits"], rep.Counters["farm.scan_cache_misses"]; hits+misses > 0 {
 		rep.Derive("farm.scan_cache.hit_rate", float64(hits)/float64(hits+misses))
@@ -137,7 +160,7 @@ func writeMetrics(reg *obs.Registry, format string) error {
 	if hits, misses := rep.Counters["farm.hint_cache_hits"], rep.Counters["farm.hint_cache_misses"]; hits+misses > 0 {
 		rep.Derive("farm.hint_cache.hit_rate", float64(hits)/float64(hits+misses))
 	}
-	if format == "table" {
+	if format == metricsTable {
 		fmt.Print(rep)
 		return nil
 	}

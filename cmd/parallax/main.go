@@ -135,7 +135,7 @@ func cmdBuild(args []string) error {
 	if *out == "" {
 		return usagef("need -o")
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		return fmt.Errorf("building %s: %w", p.Name, err)
 	}
@@ -278,7 +278,7 @@ func cmdGadgets(args []string) error {
 	if err != nil {
 		return fmt.Errorf("loading image: %w", err)
 	}
-	cat := gadget.Scan(img, gadget.ScanConfig{})
+	cat := gadget.Scan(img)
 	counts := map[string]int{}
 	printed := 0
 	for _, g := range cat.Gadgets {
@@ -379,7 +379,7 @@ func cmdCoverage(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		return fmt.Errorf("building %s: %w", p.Name, err)
 	}

@@ -129,6 +129,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	wantExit(2, "protect", "-prog", "wget", "-verify", "nope", "-o", filepath.Join(dir, "x.plx"))
 	wantExit(2, "run") // missing image path
 	wantExit(2, "batch", "-modes", "bogus")
+	// A bad -metrics-format is a usage error found before the batch
+	// creates its output directory.
+	outDir := filepath.Join(dir, "bad-format")
+	wantExit(2, "batch", "-o", outDir, "-metrics-format", "xml")
+	if _, err := os.Stat(outDir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("batch with a bad -metrics-format left %s behind (stat: %v)", outDir, err)
+	}
 	wantExit(1, "run", filepath.Join(dir, "does-not-exist.plx"))
 	wantExit(1, "gadgets", filepath.Join(dir, "does-not-exist.plx"))
 

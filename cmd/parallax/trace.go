@@ -33,12 +33,12 @@ func cmdTrace(args []string) error {
 	stdinPath := fs.String("stdin", "", "file to feed as stdin")
 	maxInst := fs.Uint64("max", 0, "instruction budget (0 = default)")
 	asJSON := fs.Bool("json", false, "print events as JSON instead of text lines")
-	withMetrics := fs.Bool("metrics", false, "print the run's metrics after the events")
-	metricsFormat := fs.String("metrics-format", "table", "metrics output format: json|table")
+	metrics := metricsFlags(fs, "print the run's metrics after the events", metricsTable)
 	engine := engineFlag(fs, "execution")
 	fs.Parse(args)
-	if *metricsFormat != "json" && *metricsFormat != "table" {
-		return usagef("bad -metrics-format %q (want json|table)", *metricsFormat)
+	withMetrics, metricsFmt, err := metrics()
+	if err != nil {
+		return err
 	}
 	eng, err := parseEngine(*engine)
 	if err != nil {
@@ -132,8 +132,8 @@ func cmdTrace(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "captured %d/%d events, status=%d instructions=%d\n",
 		len(cap.Events), cap.Total, res.Status, res.Icount)
-	if *withMetrics {
-		if err := writeMetrics(reg, *metricsFormat); err != nil {
+	if withMetrics {
+		if err := writeMetrics(reg, metricsFmt); err != nil {
 			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}

@@ -152,9 +152,6 @@ type RunConfig struct {
 	// StackSize / MemBudget configure the emulator loader (0 = defaults).
 	StackSize uint32
 	MemBudget uint64
-	// CheckStride is the cancellation-poll stride in instructions
-	// (0 = emulator default).
-	CheckStride uint64
 	// Obs, when non-nil, accumulates run metrics into the shared
 	// registry: emu.runs, emu.insts, emu.watchdog_trips,
 	// emu.inst_limit_trips, emu.load_failures and emu.faults.
@@ -230,9 +227,6 @@ func RunWith(ctx context.Context, img *image.Image, cfg RunConfig) RunResult {
 		// Attacked binaries frequently spin; bound the run so a hang
 		// reads as a malfunction rather than stalling the caller.
 		cpu.MaxInst = 50_000_000
-	}
-	if cfg.CheckStride != 0 {
-		cpu.CheckStride = cfg.CheckStride
 	}
 	cpu.Trace = cfg.Trace
 	cpu.TraceEvery = cfg.TraceEvery

@@ -28,7 +28,7 @@ func stdinEcho(t *testing.T) *image.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}

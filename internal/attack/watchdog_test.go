@@ -26,7 +26,7 @@ func TestRunawayMutantKilledWithinBudget(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	res := RunWith(ctx, runaway, RunConfig{MaxInst: 1 << 62, CheckStride: 1024})
+	res := RunWith(ctx, runaway, RunConfig{MaxInst: 1 << 62})
 	elapsed := time.Since(start)
 
 	if elapsed > 5*time.Second {

@@ -36,8 +36,6 @@ type Options struct {
 	// code falls inside regions covered by other checkers
 	// (cross-verification). Values below 1 mean 3.
 	Checkers int
-	// Layout overrides the link layout.
-	Layout image.Layout
 }
 
 // Protected is a checksum-protected build.
@@ -62,7 +60,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	if opts.Checkers < 1 {
 		opts.Checkers = 3
 	}
-	baseline, err := codegen.Build(m, opts.Layout)
+	baseline, err := codegen.Build(m)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +84,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		return nil, err
 	}
 
-	img, err := codegen.Build(work, opts.Layout)
+	img, err := codegen.Build(work)
 	if err != nil {
 		return nil, err
 	}

@@ -34,14 +34,13 @@ const (
 
 const checkFunc = "..oh.check"
 
+// tableCap bounds the calibration table.
+const tableCap = 16
+
 // Options configures OH protection.
 type Options struct {
 	// Funcs are the functions to instrument.
 	Funcs []string
-	// TableCap bounds the calibration table; values below 1 mean 16.
-	TableCap int
-	// Layout overrides the link layout.
-	Layout image.Layout
 }
 
 // Protected is an OH-instrumented build. Call Calibrate before use.
@@ -49,7 +48,6 @@ type Protected struct {
 	Image    *image.Image
 	Baseline *image.Image
 	Funcs    []string
-	tableCap int
 }
 
 // Protect instruments the named functions with interspersed hash
@@ -58,10 +56,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	if len(opts.Funcs) == 0 {
 		return nil, fmt.Errorf("oh: no functions selected")
 	}
-	if opts.TableCap < 1 {
-		opts.TableCap = 16
-	}
-	baseline, err := codegen.Build(m, opts.Layout)
+	baseline, err := codegen.Build(m)
 	if err != nil {
 		return nil, err
 	}
@@ -75,14 +70,14 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		instrument(f)
 	}
 	work.Globals = append(work.Globals,
-		&ir.Global{Name: tabSym, Init: make([]byte, 4+4*opts.TableCap)},
+		&ir.Global{Name: tabSym, Init: make([]byte, 4+4*tableCap)},
 		&ir.Global{Name: modeSym, Init: []byte{1, 0, 0, 0}}, // starts calibrating
 	)
-	work.Funcs = append(work.Funcs, buildCheck(opts.TableCap))
+	work.Funcs = append(work.Funcs, buildCheck())
 	if err := ir.Validate(work); err != nil {
 		return nil, err
 	}
-	img, err := codegen.Build(work, opts.Layout)
+	img, err := codegen.Build(work)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +85,6 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		Image:    img,
 		Baseline: baseline,
 		Funcs:    append([]string(nil), opts.Funcs...),
-		tableCap: opts.TableCap,
 	}, nil
 }
 
@@ -135,7 +129,7 @@ func instrument(f *ir.Func) {
 }
 
 // buildCheck emits the table membership check / calibration recorder.
-func buildCheck(capacity int) *ir.Func {
+func buildCheck() *ir.Func {
 	fb := ir.NewFunc(checkFunc, 1)
 	h := fb.Param(0)
 	mode := fb.Load(fb.Addr(modeSym, 0))
@@ -164,7 +158,7 @@ func buildCheck(capacity int) *ir.Func {
 	fb.Br(calib, "record", "tamper")
 
 	fb.Block("record")
-	capV := fb.Const(int32(capacity))
+	capV := fb.Const(tableCap)
 	room := fb.Cmp(ir.ULt, count, capV)
 	fb.Br(room, "append", "hit") // table full: silently accept while calibrating
 

@@ -8,11 +8,12 @@ import (
 
 	"parallax/internal/core"
 	"parallax/internal/corpus"
+	"parallax/internal/dyngen"
 	"parallax/internal/farm"
 )
 
 // TestCampaignConcurrentWithFarm runs a campaign shard while a farm
-// churns warm and cold protection jobs over a shared stage cache —
+// churns warm and cold protection jobs over its stage cache —
 // the -race proof that campaign execution, cache fills and cache hits
 // don't trample each other. (The campaign reads a Protected produced
 // through the same cache the farm keeps mutating.)
@@ -20,8 +21,7 @@ func TestCampaignConcurrentWithFarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second concurrency test")
 	}
-	cache := farm.NewCache()
-	f := farm.New(farm.Config{Workers: 2, Cache: cache})
+	f := farm.New(farm.Config{Workers: 2})
 	defer f.Close()
 
 	wget, err := corpus.ByName("wget")
@@ -46,12 +46,12 @@ func TestCampaignConcurrentWithFarm(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Warm jobs (cache hits) and cold jobs (fresh pool sizes →
-		// scan misses) interleave while the campaign runs.
+		// Warm jobs (cache hits) and cold jobs (fresh xor-chain seeds
+		// → scan misses) interleave while the campaign runs.
 		for i := 0; i < 4; i++ {
 			o := opts
 			if i%2 == 1 {
-				o.PoolCopies = 3 + i // cold: different content key
+				o.ChainMode, o.Seed = dyngen.ModeXor, uint32(3+i) // cold: different content key
 			}
 			if _, err := f.Protect(context.Background(), "bg", wget.Build(), o); err != nil {
 				t.Errorf("background farm job: %v", err)

@@ -15,11 +15,11 @@ func poolCatalog(t *testing.T, copies int) *gadget.Catalog {
 	if err := AddPool(obj, copies); err != nil {
 		t.Fatal(err)
 	}
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gadget.Scan(img, gadget.ScanConfig{})
+	return gadget.Scan(img)
 }
 
 // TestPoolProvidesCanonicalBasis verifies the fallback pool contains a
@@ -108,7 +108,7 @@ func TestLoaderStructure(t *testing.T) {
 	if err := ReserveData(obj, "verif", 4*50, 10); err != nil {
 		t.Fatal(err)
 	}
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}

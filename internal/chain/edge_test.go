@@ -17,7 +17,7 @@ func TestPoolBytesBoundaries(t *testing.T) {
 	if err := AddPool(obj, copies); err != nil {
 		t.Fatal(err)
 	}
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,12 +51,12 @@ func Compile(m *ir.Module) (*image.Object, error) {
 }
 
 // Build compiles and links a module in one step.
-func Build(m *ir.Module, layout image.Layout) (*image.Image, error) {
+func Build(m *ir.Module) (*image.Image, error) {
 	obj, err := Compile(m)
 	if err != nil {
 		return nil, err
 	}
-	return image.Link(obj, layout)
+	return image.Link(obj)
 }
 
 type funcGen struct {

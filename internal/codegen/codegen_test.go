@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"parallax/internal/emu"
-	"parallax/internal/image"
 	"parallax/internal/ir"
 )
 
@@ -26,7 +25,7 @@ func runBoth(t *testing.T, m *ir.Module, stdin []byte, debugger bool) (int32, st
 		t.Fatalf("interp: %v", err)
 	}
 
-	img, err := Build(m, image.Layout{})
+	img, err := Build(m)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

@@ -36,13 +36,6 @@ type Options struct {
 	// program). May be nil.
 	Workload []byte
 
-	// PoolCopies replicates the fallback gadget pool; values below 1
-	// mean 2 (two copies give probabilistic generation room to vary).
-	PoolCopies int
-
-	// ProtectFuncs names functions whose instructions the rewriting
-	// rules should overlap with gadgets. Empty means every function.
-	ProtectFuncs []string
 	// DisableRewriting skips the §IV-B rewriting rules (gadgets then
 	// come only from existing code and the fallback pool).
 	DisableRewriting bool
@@ -74,9 +67,6 @@ type Options struct {
 	// Seed drives key and basis derivation for dynamic modes.
 	Seed uint32
 
-	// Layout overrides the link layout.
-	Layout image.Layout
-
 	// ScanFunc overrides the gadget scanner used inside the fixpoint
 	// pipeline. It must be observationally identical to gadget.Scan
 	// (same catalog for the same image bytes) — the hook exists so
@@ -87,7 +77,7 @@ type Options struct {
 	// bytes that changed (gadget.Rescan). That image is discarded
 	// unmodified after the call. Nil means gadget.Rescan. The returned
 	// catalog must not be mutated by the scanner afterwards.
-	ScanFunc func(img *image.Image, cfg gadget.ScanConfig, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog
+	ScanFunc func(img, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog
 	// Hints seeds the link→scan→compile fixpoint with the converged
 	// sizes of a previous run. Correctness never depends on them: the
 	// fixpoint still verifies convergence, so wrong hints only cost
@@ -104,18 +94,14 @@ type Options struct {
 }
 
 // Normalized returns opts with fields whose distinct values ask for
-// the same output collapsed to one value: PoolCopies below 1 becomes
-// 2; ProbVariants becomes dyngen.DefaultVariants when it is below 2 or
-// the chain mode is not ModeProb (only the probabilistic tables read
-// it); Seed becomes 0 under static chains (only the dynamic modes
-// read it); and Workload becomes nil without AutoSelect (only the
-// profile run reads it). Protect runs on normalized options, and a
-// cache keyed by options should hash them normalized, so that
-// equivalent jobs share a key.
+// the same output collapsed to one value: ProbVariants becomes
+// dyngen.DefaultVariants when it is below 2 or the chain mode is not
+// ModeProb (only the probabilistic tables read it); Seed becomes 0
+// under static chains (only the dynamic modes read it); and Workload
+// becomes nil without AutoSelect (only the profile run reads it).
+// Protect runs on normalized options, and a cache keyed by options
+// should hash them normalized, so that equivalent jobs share a key.
 func (opts Options) Normalized() Options {
-	if opts.PoolCopies < 1 {
-		opts.PoolCopies = 2
-	}
 	if opts.ProbVariants < 2 || opts.ChainMode != dyngen.ModeProb {
 		opts.ProbVariants = dyngen.DefaultVariants
 	}
@@ -274,9 +260,9 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	// must do so before rewriting assigns fn.Items on its *image.Funcs.
 	var baseline *image.Image
 	if work == m {
-		baseline, err = image.Link(obj, opts.Layout)
+		baseline, err = image.Link(obj)
 	} else {
-		baseline, err = codegen.Build(m, opts.Layout)
+		baseline, err = codegen.Build(m)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline build: %w", err)
@@ -331,7 +317,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 			return nil, err
 		}
 		opts.Obs.Stage("scan", func() {
-			catalog = scan(img, gadget.ScanConfig{}, prevImg, catalog)
+			catalog = scan(img, prevImg, catalog)
 		})
 		env := &ropc.Env{
 			Catalog:    catalog,
@@ -504,23 +490,21 @@ func preferOverlap(img *image.Image, verify []string) func(*gadget.Gadget) bool 
 }
 
 // rewriteImmediates applies the §IV-B2 rule to the compiled object:
-// it splits immediates in protected functions so gadgets overlap their
+// it splits immediates in every function so gadgets overlap their
 // instructions, and returns the number of split sites. Verification
 // functions are excluded — their bodies become loader stubs.
 func rewriteImmediates(obj *image.Object, m *ir.Module, verify []string, opts Options) (int, error) {
 	if opts.DisableRewriting {
 		return 0, nil
 	}
-	targets := opts.ProtectFuncs
-	if len(targets) == 0 {
-		verifySet := make(map[string]bool, len(verify))
-		for _, v := range verify {
-			verifySet[v] = true
-		}
-		for _, f := range m.Funcs {
-			if !verifySet[f.Name] {
-				targets = append(targets, f.Name)
-			}
+	verifySet := make(map[string]bool, len(verify))
+	for _, v := range verify {
+		verifySet[v] = true
+	}
+	var targets []string
+	for _, f := range m.Funcs {
+		if !verifySet[f.Name] {
+			targets = append(targets, f.Name)
 		}
 	}
 	var res *rewrite.SplitResult
@@ -537,6 +521,10 @@ func rewriteImmediates(obj *image.Object, m *ir.Module, verify []string, opts Op
 	return 0, nil // nothing to split is not a failure
 }
 
+// poolCopies is the number of fallback gadget pool copies: two give
+// probabilistic generation room to vary.
+const poolCopies = 2
+
 // buildProtectedObject swaps verification functions for loader stubs,
 // adds the gadget pool and chain/frame data to a copy of the compiled
 // and rewritten base object, and links. The copy is shallow: the pass
@@ -552,7 +540,7 @@ func buildProtectedObject(base *image.Object, m *ir.Module, verify []string, fra
 		Data:  slices.Clone(base.Data),
 		Entry: base.Entry,
 	}
-	if err := chain.AddPool(obj, opts.PoolCopies); err != nil {
+	if err := chain.AddPool(obj, poolCopies); err != nil {
 		return nil, err
 	}
 	for _, fn := range verify {
@@ -592,7 +580,7 @@ func buildProtectedObject(base *image.Object, m *ir.Module, verify []string, fra
 	var img *image.Image
 	var err error
 	opts.Obs.Stage("layout", func() {
-		img, err = image.Link(obj, opts.Layout)
+		img, err = image.Link(obj)
 	})
 	if err != nil {
 		return nil, err

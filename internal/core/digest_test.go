@@ -70,8 +70,6 @@ func digestCases(t *testing.T) []digestCase {
 	return append(cases,
 		digestCase{"wget/xor", wget, core.Options{VerifyFuncs: verify, ChainMode: dyngen.ModeXor, Seed: 7}},
 		digestCase{"wget/cschk", wget, core.Options{VerifyFuncs: verify, ChecksumChains: true}},
-		digestCase{"wget/layout", wget, core.Options{VerifyFuncs: verify,
-			Layout: image.Layout{TextBase: 0x10000000, FuncAlign: 32, PadByte: 0xCC}}},
 	)
 }
 
@@ -88,8 +86,8 @@ func imageBytes(t *testing.T, img *image.Image) []byte {
 // case's protected image and baseline are hashed and compared with the
 // checked-in golden (-update rewrites it). A mismatch means a change
 // altered what Protect emits. Every case also checks that the baseline
-// is exactly codegen.Build of the source module under the job's layout,
-// whichever path produced it.
+// is exactly codegen.Build of the source module, whichever path
+// produced it.
 func TestProtectDigestGolden(t *testing.T) {
 	var got strings.Builder
 	for _, c := range digestCases(t) {
@@ -97,7 +95,7 @@ func TestProtectDigestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := codegen.Build(c.prog.Build(), c.opts.Layout)
+		want, err := codegen.Build(c.prog.Build())
 		if err != nil {
 			t.Fatalf("%s: baseline build: %v", c.name, err)
 		}

@@ -36,11 +36,11 @@ func TestProtectIncrementalScanIdentical(t *testing.T) {
 		}
 	}
 	rescans := 0
-	fullScan := func(img *image.Image, cfg gadget.ScanConfig, prevImg *image.Image, _ *gadget.Catalog) *gadget.Catalog {
+	fullScan := func(img, prevImg *image.Image, _ *gadget.Catalog) *gadget.Catalog {
 		if prevImg != nil {
 			rescans++
 		}
-		return gadget.Scan(img, cfg)
+		return gadget.Scan(img)
 	}
 	for _, p := range progs {
 		for _, k := range []int{0, 4} {

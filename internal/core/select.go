@@ -7,7 +7,6 @@ import (
 
 	"parallax/internal/codegen"
 	"parallax/internal/emu"
-	"parallax/internal/image"
 	"parallax/internal/ir"
 	"parallax/internal/ropc"
 )
@@ -62,7 +61,7 @@ const SelectThreshold = 0.02
 // ProfileModule builds the module, runs it under the emulator with
 // per-address profiling, and aggregates per-function statistics.
 func ProfileModule(m *ir.Module, workload []byte) (*ProfileReport, error) {
-	img, err := codegen.Build(m, image.Layout{})
+	img, err := codegen.Build(m)
 	if err != nil {
 		return nil, err
 	}

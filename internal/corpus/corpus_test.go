@@ -7,7 +7,6 @@ import (
 	"parallax/internal/codegen"
 	"parallax/internal/core"
 	"parallax/internal/emu"
-	"parallax/internal/image"
 	"parallax/internal/ir"
 	"parallax/internal/ropc"
 )
@@ -29,7 +28,7 @@ func TestCorpusDifferential(t *testing.T) {
 				t.Fatalf("interp: %v", err)
 			}
 
-			img, err := codegen.Build(m, image.Layout{})
+			img, err := codegen.Build(m)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"parallax/internal/codegen"
-	"parallax/internal/image"
 )
 
 // FuzzGenParams fuzzes the parameter-validation path: hostile
@@ -69,7 +68,7 @@ func FuzzGenParams(f *testing.F) {
 		if gerr != nil {
 			t.Fatalf("Generate rejected validated params: %v", gerr)
 		}
-		img, berr := codegen.Build(prog.Build(), image.Layout{})
+		img, berr := codegen.Build(prog.Build())
 		if berr != nil {
 			t.Fatalf("codegen failed on validated params: %v", berr)
 		}

@@ -35,7 +35,7 @@ func buildImage(t *testing.T, seed uint64, p Params) *image.Image {
 	if err != nil {
 		t.Fatalf("Generate(%d): %v", seed, err)
 	}
-	img, err := codegen.Build(prog.Build(), image.Layout{})
+	img, err := codegen.Build(prog.Build())
 	if err != nil {
 		t.Fatalf("codegen: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestGenDeterminism(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			img, err := codegen.Build(prog.Build(), image.Layout{})
+			img, err := codegen.Build(prog.Build())
 			if err != nil {
 				errs[g] = err
 				return
@@ -136,7 +136,7 @@ func TestGenDistinctSeeds(t *testing.T) {
 		h := fnv.New64a()
 		h.Write(imageBytes(t, img))
 		ifp := h.Sum64()
-		cfp := catalogFP(gadget.Scan(img, gadget.ScanConfig{}))
+		cfp := catalogFP(gadget.Scan(img))
 		for prev, fp := range seenImg {
 			if fp == ifp {
 				t.Fatalf("seeds %d and %d: identical image bytes", prev, seed)
@@ -188,7 +188,7 @@ func TestGenInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := prog.Build()
-			img, err := codegen.Build(m, image.Layout{})
+			img, err := codegen.Build(m)
 			if err != nil {
 				t.Fatal(err)
 			}

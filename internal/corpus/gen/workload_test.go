@@ -98,7 +98,7 @@ func TestWorkloadColdExecution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			img, err := codegen.Build(prog.Build(), image.Layout{})
+			img, err := codegen.Build(prog.Build())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := codegen.Build(prog.Build(), image.Layout{})
+	img, err := codegen.Build(prog.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"parallax/internal/core"
 	"parallax/internal/corpus"
 	"parallax/internal/corpus/gen"
-	"parallax/internal/image"
 )
 
 // TestCorpusInvariants runs the shared invariant checker over every
@@ -22,7 +21,7 @@ func TestCorpusInvariants(t *testing.T) {
 		prog := prog
 		t.Run(prog.Name, func(t *testing.T) {
 			m := prog.Build()
-			img, err := codegen.Build(m, image.Layout{})
+			img, err := codegen.Build(m)
 			if err != nil {
 				t.Fatalf("codegen: %v", err)
 			}

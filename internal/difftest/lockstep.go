@@ -9,7 +9,6 @@ import (
 	"parallax/internal/emu"
 	"parallax/internal/emu/tb"
 	"parallax/internal/image"
-	"parallax/internal/obs"
 	"parallax/internal/x86"
 )
 
@@ -26,10 +25,6 @@ type Options struct {
 
 	// StackSize is passed to both loaders; 0 means the default stack.
 	StackSize uint32
-
-	// Registry receives difftest.programs / difftest.insts /
-	// difftest.divergences counters; nil disables metrics.
-	Registry *obs.Registry
 
 	// LegacyRefRCROF makes the reference interpreter reproduce the
 	// seed RCR overflow-flag bug. Test-only: it demonstrates the
@@ -110,7 +105,7 @@ func Run(img *image.Image, opts Options) (*Result, error) {
 		}
 		tbOS = emu.NewOS(opts.Stdin)
 		tbc.OS = tbOS
-		tbe = tb.New(tbc, opts.Registry)
+		tbe = tb.New(tbc, nil)
 		defer tbe.Close()
 	}
 
@@ -118,8 +113,6 @@ func Run(img *image.Image, opts Options) (*Result, error) {
 	if limit == 0 {
 		limit = DefaultMaxInst
 	}
-	opts.Registry.Counter("difftest.programs").Inc()
-
 	res := &Result{}
 	for res.Div == nil && !fast.Exited && !ref.Exited && fast.Icount < limit {
 		pc := fast.EIP
@@ -168,10 +161,6 @@ func Run(img *image.Image, opts Options) (*Result, error) {
 		res.Div = compareTBFinal(fast, tbc, fastOS, tbOS, img, opts, res.Insts)
 	}
 
-	opts.Registry.Counter("difftest.insts").Add(res.Insts)
-	if res.Div != nil {
-		opts.Registry.Counter("difftest.divergences").Inc()
-	}
 	return res, nil
 }
 

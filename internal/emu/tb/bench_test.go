@@ -8,7 +8,6 @@ import (
 	"parallax/internal/corpus"
 	"parallax/internal/emu"
 	"parallax/internal/emu/tb"
-	"parallax/internal/image"
 )
 
 // BenchmarkEngines compares the interpreter and the translation-block
@@ -26,7 +25,7 @@ func BenchmarkEngines(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			b.Fatal(err)
 		}

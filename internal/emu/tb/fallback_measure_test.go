@@ -59,7 +59,7 @@ func TestFallbackRateBudget(t *testing.T) {
 	agg := map[string]uint64{}
 	var all [2]uint64
 	for _, p := range corpus.All() {
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestFallbackRateBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := codegen.Build(prog.Build(), image.Layout{})
+		img, err := codegen.Build(prog.Build())
 		if err != nil {
 			t.Fatal(err)
 		}

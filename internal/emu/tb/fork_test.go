@@ -38,7 +38,7 @@ func forkTargets(t *testing.T) []forkTarget {
 		t.Fatal(err)
 	}
 	heavy, _ := p.Workload("heavy")
-	genImg, err := codegen.Build(p.Build(), image.Layout{})
+	genImg, err := codegen.Build(p.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func compareState(t *testing.T, name string, ci, ct *emu.CPU) {
 // both engines and compares the full architectural end state.
 func TestCorpusRunParity(t *testing.T) {
 	for _, p := range corpus.All() {
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestCorpusStepParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestStepThenRunHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRunContextDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestProfileParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,7 @@ func CorpusSweep(ctx context.Context, opts CorpusOptions) (*CorpusReport, error)
 				return nil, fmt.Errorf("corpus sweep: %s seed %d: %w", entry.fam.Name, seed, err)
 			}
 			m := prog.Build()
-			baseImg, err := codegen.Build(m, image.Layout{})
+			baseImg, err := codegen.Build(m)
 			if err != nil {
 				return nil, fmt.Errorf("corpus sweep: %s: codegen: %w", prog.Name, err)
 			}

@@ -59,7 +59,7 @@ func Difftest(progs []string, maxInst uint64) ([]DifftestRow, error) {
 	}
 	var rows []DifftestRow
 	for _, p := range ps {
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			return nil, fmt.Errorf("difftest experiment: building %s: %w", p.Name, err)
 		}

@@ -43,7 +43,7 @@ type Fig6Row struct {
 func Fig6() ([]Fig6Row, error) {
 	var rows []Fig6Row
 	for _, p := range corpus.All() {
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			return nil, fmt.Errorf("experiment: building %s: %w", p.Name, err)
 		}
@@ -165,7 +165,7 @@ type baselineRun struct {
 // attributing cycles to the verification candidate.
 func measureBaseline(p corpus.Program) (*baselineRun, error) {
 	m := p.Build()
-	img, err := codegen.Build(m, image.Layout{})
+	img, err := codegen.Build(m)
 	if err != nil {
 		return nil, err
 	}

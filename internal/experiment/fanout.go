@@ -32,10 +32,6 @@ type FanoutOptions struct {
 	Unique int
 	// Workers are the per-round worker counts (nil = 1, 2, 4, 8).
 	Workers []int
-	// Family is the generator family to draw modules from (default
-	// "tiny" — protect cost small enough that the farm machinery, not
-	// the pipeline, dominates).
-	Family string
 	// Progress, when non-nil, is called after each round.
 	Progress func(round, rounds, workers int)
 }
@@ -53,11 +49,13 @@ func (o FanoutOptions) withDefaults() FanoutOptions {
 	if len(o.Workers) == 0 {
 		o.Workers = []int{1, 2, 4, 8}
 	}
-	if o.Family == "" {
-		o.Family = "tiny"
-	}
 	return o
 }
+
+// fanoutFamily is the generator family the stress draws modules from:
+// protect cost small enough that the farm machinery, not the pipeline,
+// dominates.
+const fanoutFamily = "tiny"
 
 // FanoutRound is one worker-count round's record.
 type FanoutRound struct {
@@ -109,7 +107,7 @@ func imageDigest(p *core.Protected) (string, error) {
 // FarmFanout runs the fan-out stress.
 func FarmFanout(ctx context.Context, opts FanoutOptions) (*FanoutReport, error) {
 	opts = opts.withDefaults()
-	fam, err := gen.FamilyByName(opts.Family)
+	fam, err := gen.FamilyByName(fanoutFamily)
 	if err != nil {
 		return nil, fmt.Errorf("fanout: %w", err)
 	}
@@ -135,7 +133,7 @@ func FarmFanout(ctx context.Context, opts FanoutOptions) (*FanoutReport, error) 
 	}
 
 	out := &FanoutReport{
-		Family: opts.Family, Jobs: opts.Jobs, Unique: opts.Unique,
+		Family: fanoutFamily, Jobs: opts.Jobs, Unique: opts.Unique,
 		Deterministic:  true,
 		MinScanHitRate: 1,
 	}

@@ -18,15 +18,16 @@ import (
 // cached stage.
 type key [sha256.Size]byte
 
-// Cache memoizes the two expensive, pure pipeline stages across jobs:
+// stageCache memoizes the two expensive, pure pipeline stages across
+// a farm's jobs:
 //
 //   - gadget scan + classification, keyed by the executable section
-//     bytes (addresses included) and the scan parameters. Protecting
-//     the same text twice — a resubmitted job, or fixpoint passes that
-//     reproduce an earlier layout — pays for the scan once. A miss is
-//     computed by gadget.Rescan against the job's previous fixpoint
-//     pass, so a later pass whose text differs in a few bytes decodes
-//     only the offsets those bytes can reach.
+//     bytes (addresses included). Protecting the same text twice — a
+//     resubmitted job, or fixpoint passes that reproduce an earlier
+//     layout — pays for the scan once. A miss is computed by
+//     gadget.Rescan against the job's previous fixpoint pass, so a
+//     later pass whose text differs in a few bytes decodes only the
+//     offsets those bytes can reach.
 //   - converged fixpoint layout sizes (core.Hints), keyed by the full
 //     job content (module + options). A hint hit lets an
 //     identical job converge in a single link→scan→compile pass, which
@@ -36,11 +37,10 @@ type key [sha256.Size]byte
 // cannot change output bytes. Cached catalogs are shared read-only
 // between jobs; nothing in the pipeline mutates a catalog after Scan.
 //
-// A Cache is safe for concurrent use and may be shared between farms
-// (e.g. a warm cache handed to a new farm with a different worker
-// count). Concurrent lookups of the same not-yet-computed scan are
-// deduplicated: one caller computes, the rest block and share.
-type Cache struct {
+// A stageCache is safe for concurrent use. Concurrent lookups of the
+// same not-yet-computed scan are deduplicated: one caller computes,
+// the rest block and share.
+type stageCache struct {
 	mu    sync.Mutex
 	scans map[key]*scanEntry
 	hints map[key]*core.Hints
@@ -51,27 +51,19 @@ type scanEntry struct {
 	cat  *gadget.Catalog
 }
 
-// NewCache returns an empty stage cache.
-func NewCache() *Cache {
-	return &Cache{
+func newStageCache() *stageCache {
+	return &stageCache{
 		scans: make(map[key]*scanEntry),
 		hints: make(map[key]*core.Hints),
 	}
 }
 
-// Len reports the number of cached scan catalogs and layout hints.
-func (c *Cache) Len() (scans, hints int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.scans), len(c.hints)
-}
-
 // scanner returns a core.Options.ScanFunc that serves scans from the
 // cache, recording hits, misses and scan time into the farm's metrics
 // and hits and misses into the per-job tallies.
-func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.Injector) func(*image.Image, gadget.ScanConfig, *image.Image, *gadget.Catalog) *gadget.Catalog {
-	return func(img *image.Image, cfg gadget.ScanConfig, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
-		k := scanKey(img, cfg)
+func (c *stageCache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.Injector) func(img, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
+	return func(img, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
+		k := scanKey(img)
 		c.mu.Lock()
 		e, ok := c.scans[k]
 		if !ok {
@@ -86,7 +78,7 @@ func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.I
 			// The diff base is the job's own previous-pass image, which
 			// core.Protect discards unmodified; a cached catalog's source
 			// image may be another job's, which Install later writes.
-			e.cat = gadget.Rescan(img, cfg, prevImg, prev)
+			e.cat = gadget.Rescan(img, prevImg, prev)
 			m.scanNs.Add(uint64(time.Since(start).Nanoseconds()))
 		})
 		if hit && inj.ShouldNext(chaos.PointFarmCacheRead) {
@@ -96,7 +88,7 @@ func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.I
 			// holds because gadget.Scan is pure; the entry itself is left
 			// alone (concurrent readers may hold e.cat).
 			start := time.Now()
-			cat := gadget.Scan(img, cfg)
+			cat := gadget.Scan(img)
 			m.scanNs.Add(uint64(time.Since(start).Nanoseconds()))
 			m.scanMisses.Inc()
 			atomic.AddUint64(jobMisses, 1)
@@ -114,7 +106,7 @@ func (c *Cache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *chaos.I
 }
 
 // lookupHints returns cached converged layout sizes for a job key.
-func (c *Cache) lookupHints(k key) (*core.Hints, bool) {
+func (c *stageCache) lookupHints(k key) (*core.Hints, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.hints[k]
@@ -122,19 +114,17 @@ func (c *Cache) lookupHints(k key) (*core.Hints, bool) {
 }
 
 // storeHints records the converged layout sizes of a finished job.
-func (c *Cache) storeHints(k key, h core.Hints) {
+func (c *stageCache) storeHints(k key, h core.Hints) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hints[k] = &h
 }
 
 // scanKey addresses a gadget scan: every executable section's name,
-// load address and exact bytes, plus the scan parameters. Matches the
-// section walk in gadget.Scan.
-func scanKey(img *image.Image, cfg gadget.ScanConfig) key {
+// load address and exact bytes. Matches the section walk in
+// gadget.Scan.
+func scanKey(img *image.Image) key {
 	h := sha256.New()
-	fmt.Fprintf(h, "scan:maxinsts=%d:maxbytes=%d:skipfar=%t\n",
-		cfg.MaxInsts, cfg.MaxBytes, cfg.SkipFar)
 	for _, s := range img.Sections {
 		if s.Perm&image.PermX == 0 {
 			continue
@@ -150,25 +140,22 @@ func scanKey(img *image.Image, cfg gadget.ScanConfig) key {
 
 // jobKey addresses a whole protection job: the module content and
 // every Options field that influences the output image, normalized as
-// core.Protect normalizes them so that equivalent options (PoolCopies
-// 0 and 2, say) share a key and its layout hints. ScanFunc, Hints
-// and Obs are deliberately excluded — accelerators and observers never
-// change output bytes, so they must not fragment the cache. The module
+// core.Protect normalizes them so that equivalent options (Seed 0 and
+// 7 under static chains, say) share a key and its layout hints.
+// ScanFunc, Hints and Obs are deliberately excluded — accelerators and
+// observers never change output bytes, so they must not fragment the
+// cache. The module
 // is hashed in ir's binary key encoding; the key lives only in memory,
 // so its bytes may change between versions.
 func jobKey(m *ir.Module, opts core.Options) key {
 	opts = opts.Normalized()
 	h := sha256.New()
 	m.WriteKey(h) // a hash never fails a write
-	fmt.Fprintf(h, "opts:verify=%q auto=%t pool=%d protect=%q norewrite=%t\n",
-		opts.VerifyFuncs, opts.AutoSelect, opts.PoolCopies,
-		opts.ProtectFuncs, opts.DisableRewriting)
+	fmt.Fprintf(h, "opts:verify=%q auto=%t norewrite=%t\n",
+		opts.VerifyFuncs, opts.AutoSelect, opts.DisableRewriting)
 	fmt.Fprintf(h, "opts:mode=%d mu=%t cschk=%t compose=%d probN=%d seed=%d\n",
 		opts.ChainMode, opts.MuChains, opts.ChecksumChains,
 		opts.ComposeChecksum, opts.ProbVariants, opts.Seed)
-	fmt.Fprintf(h, "opts:layout=%d/%d/%d/%d\n",
-		opts.Layout.TextBase, opts.Layout.FuncAlign, opts.Layout.PadByte,
-		opts.Layout.PageSize)
 	fmt.Fprintf(h, "opts:workload=%d:", len(opts.Workload))
 	h.Write(opts.Workload)
 	var k key

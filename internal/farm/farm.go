@@ -61,18 +61,6 @@ type Config struct {
 	// Workers is the worker-goroutine count; values below 1 mean
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Queue bounds the number of accepted-but-not-running jobs; a full
-	// queue makes Submit block (backpressure). Values below 1 mean
-	// 2×Workers.
-	Queue int
-	// Cache is the stage cache to use; nil means a fresh private one.
-	// Sharing a warm Cache across farms is safe and useful.
-	Cache *Cache
-	// JobTimeout is a deadline measured from submission: a job still
-	// queued when it expires fails with an error wrapping
-	// context.DeadlineExceeded. A job already inside core.Protect runs
-	// to completion. Zero means no deadline beyond the caller's context.
-	JobTimeout time.Duration
 	// Obs is the registry the farm records its activity into (farm.*
 	// counters, queue-depth gauge, latency histograms), so one report
 	// can merge farm, emulator and pipeline-stage views. It is the
@@ -90,12 +78,11 @@ type Config struct {
 // Farm is a worker pool executing protection jobs. Create with New,
 // feed with Submit, stop with Close.
 type Farm struct {
-	cache      *Cache
-	om         farmMetrics
-	jobs       chan *Job
-	wg         sync.WaitGroup
-	jobTimeout time.Duration
-	chaos      *chaos.Injector
+	cache *stageCache
+	om    farmMetrics
+	jobs  chan *Job
+	wg    sync.WaitGroup
+	chaos *chaos.Injector
 
 	// Deterministic-test seams; production values are realSleep and
 	// (*Farm).protect.
@@ -111,22 +98,18 @@ func New(cfg Config) *Farm {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Queue < 1 {
-		cfg.Queue = 2 * cfg.Workers
-	}
-	if cfg.Cache == nil {
-		cfg.Cache = NewCache()
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
 	f := &Farm{
-		cache:      cfg.Cache,
-		om:         newFarmMetrics(cfg.Obs),
-		jobs:       make(chan *Job, cfg.Queue),
-		jobTimeout: cfg.JobTimeout,
-		chaos:      cfg.Chaos,
-		sleep:      realSleep,
+		cache: newStageCache(),
+		om:    newFarmMetrics(cfg.Obs),
+		// The queue holds accepted-but-not-running jobs; when it is
+		// full Submit blocks (backpressure). Two per worker keep every
+		// worker fed while submitters wait.
+		jobs:  make(chan *Job, 2*cfg.Workers),
+		chaos: cfg.Chaos,
+		sleep: realSleep,
 	}
 	f.protectFn = f.protect
 	f.wg.Add(cfg.Workers)
@@ -135,9 +118,6 @@ func New(cfg Config) *Farm {
 	}
 	return f
 }
-
-// Cache returns the farm's stage cache (to share with another farm).
-func (f *Farm) Cache() *Cache { return f.cache }
 
 // Close stops accepting jobs, waits for queued and running jobs to
 // finish, and stops the workers. It is idempotent and safe to call
@@ -165,21 +145,12 @@ type Job struct {
 	Name string
 
 	ctx       context.Context
-	cancel    context.CancelFunc // releases the JobTimeout deadline, if any
 	module    *ir.Module
 	opts      core.Options
 	submitted time.Time
 	state     int32
 	done      chan struct{}
 	res       Result
-}
-
-// finish marks the job done and releases its deadline resources.
-func (j *Job) finish() {
-	close(j.done)
-	if j.cancel != nil {
-		j.cancel()
-	}
 }
 
 // Result is the outcome of a finished job.
@@ -234,11 +205,6 @@ func (f *Farm) Submit(ctx context.Context, name string, m *ir.Module, opts core.
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	if f.jobTimeout > 0 {
-		// The deadline runs from submission, so queue wait counts
-		// against it.
-		j.ctx, j.cancel = context.WithTimeout(ctx, f.jobTimeout)
-	}
 	j.res.Name = name
 
 	if d := f.chaos.StallNext(chaos.PointFarmQueueStall); d > 0 {
@@ -292,7 +258,7 @@ func (j *Job) watchCancel(f *Farm) {
 			j.res.Err = fmt.Errorf("farm: job %q cancelled while queued: %w", j.Name, j.ctx.Err())
 			f.om.queueDepth.Add(-1)
 			f.om.cancelled.Inc()
-			j.finish()
+			close(j.done)
 		}
 	case <-j.done:
 	}
@@ -309,7 +275,7 @@ func (f *Farm) worker() {
 		f.om.queueWaitNs.Record(uint64(j.res.QueueWait.Nanoseconds()))
 		f.run(j)
 		atomic.StoreInt32(&j.state, stateDone)
-		j.finish()
+		close(j.done)
 	}
 }
 

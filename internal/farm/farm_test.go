@@ -120,50 +120,6 @@ func TestFarmDeterminism(t *testing.T) {
 	}
 }
 
-// TestFarmSharedCache hands one farm's warm cache to a second farm
-// with a different worker count: results stay byte-identical and the
-// scans are served from the shared cache.
-func TestFarmSharedCache(t *testing.T) {
-	p, err := corpus.ByName("nginx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.Options{VerifyFuncs: []string{p.VerifyFunc}, ChainMode: dyngen.ModeXor}
-	ctx := context.Background()
-
-	f1 := New(Config{Workers: 2})
-	prot1, err := f1.Protect(ctx, "warmup", p.Build(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := f1.Cache()
-	f1.Close()
-
-	f2 := New(Config{Workers: 4, Cache: cache})
-	defer f2.Close()
-	j, err := f2.Submit(ctx, "reuse", p.Build(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := j.Wait(ctx)
-	if err != nil || res.Err != nil {
-		t.Fatalf("wait: %v, job: %v", err, res.Err)
-	}
-	if !bytes.Equal(imageBytes(t, prot1.Image), imageBytes(t, res.Protected.Image)) {
-		t.Error("image differs across farms sharing a cache")
-	}
-	if !res.HintUsed {
-		t.Error("second farm did not use cached layout hints")
-	}
-	if res.ScanMisses != 0 || res.ScanHits == 0 {
-		t.Errorf("second farm scans: %d hits / %d misses, want all hits",
-			res.ScanHits, res.ScanMisses)
-	}
-	if st := f2.Stats(); st.HintHits != 1 {
-		t.Errorf("second farm stats: %v", st)
-	}
-}
-
 // TestFarmDifferentOptionsDifferentKeys guards against cache
 // confusion: the same program under two seeds must not share hints or
 // produce equal images.

@@ -44,13 +44,13 @@ func nonZero(t *testing.T, v reflect.Value) {
 }
 
 // TestJobKeyCoversOptions: setting any output-affecting core.Options
-// field — each field of a struct-typed one separately — changes the
-// job key, and setting an excluded field does not. A new Options field
-// fails here until jobKey encodes it or keyExcluded names it. Seed and
-// ProbVariants are perturbed from a ModeProb base: static chains read
-// neither, so static options normalize both away. Workload is perturbed
-// from an AutoSelect base, the only option that reads it; without
-// AutoSelect a workload-only difference must leave the key unchanged.
+// field changes the job key, and setting an excluded field does not. A
+// new Options field fails here until jobKey encodes it or keyExcluded
+// names it. Seed and ProbVariants are perturbed from a ModeProb base:
+// static chains read neither, so static options normalize both away.
+// Workload is perturbed from an AutoSelect base, the only option that
+// reads it; without AutoSelect a workload-only difference must leave
+// the key unchanged.
 func TestJobKeyCoversOptions(t *testing.T) {
 	p, err := corpus.ByName("gzip")
 	if err != nil {
@@ -74,10 +74,6 @@ func TestJobKeyCoversOptions(t *testing.T) {
 			}
 		}
 		switch {
-		case f.Type.Kind() == reflect.Struct:
-			for j := 0; j < f.Type.NumField(); j++ {
-				check(f.Name+"."+f.Type.Field(j).Name, core.Options{}, func(v reflect.Value) { nonZero(t, v.Field(j)) })
-			}
 		case f.Name == "ProbVariants":
 			// 1 means the same as 0 (both normalize to
 			// dyngen.DefaultVariants); 3 is a distinct variant count.
@@ -102,8 +98,8 @@ func TestJobKeyCoversOptions(t *testing.T) {
 }
 
 // TestJobKeyNormalizesOptions: options core.Protect treats alike get
-// one key — PoolCopies 0 and 2, and Seed and ProbVariants under static
-// chains, protect gzip to the same bytes; in ModeProb ProbVariants 0, 1
+// one key — Seed and ProbVariants under static chains protect gzip to
+// the same bytes; in ModeProb ProbVariants 0, 1
 // and the default 4 are one variant count, and outside ModeProb no
 // variant count is read. Options that do reach the output keep
 // distinct keys.
@@ -114,12 +110,10 @@ func TestJobKeyNormalizesOptions(t *testing.T) {
 	}
 	m := p.Build()
 	opts := core.Options{VerifyFuncs: []string{p.VerifyFunc}}
-	pool2 := opts
-	pool2.PoolCopies = 2
 	seeded := opts
 	seeded.Seed, seeded.ProbVariants = 7, 3
 	var want struct{ img, base []byte }
-	for i, o := range []core.Options{opts, pool2, seeded} {
+	for i, o := range []core.Options{opts, seeded} {
 		if jobKey(m, o) != jobKey(m, opts) {
 			t.Errorf("static options %d: job key differs from the defaults", i)
 		}

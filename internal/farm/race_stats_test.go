@@ -96,7 +96,7 @@ func TestFarmReconciliation(t *testing.T) {
 	progs := []string{"gzip", "wget", "gzip", "nginx", "wget", "gzip"}
 	run := func(t *testing.T, plan chaos.Plan, cancelQueued int) {
 		reg := obs.NewRegistry()
-		f := New(Config{Workers: 2, Queue: 8, Obs: reg, Chaos: chaos.New(plan, reg)})
+		f := New(Config{Workers: 2, Obs: reg, Chaos: chaos.New(plan, reg)})
 		ctx := context.Background()
 		var jobs []*Job
 

@@ -51,17 +51,15 @@ func seamModule(t *testing.T) *ir.Module {
 	return p.Build()
 }
 
-// TestJobDeadlineExpires: JobTimeout runs from submission, so a job
-// starved in the queue past its deadline fails with DeadlineExceeded
-// without ever reaching the pipeline.
+// TestJobDeadlineExpires: a deadline set on the context passed to
+// Submit runs from submission, so a job starved in the queue past it
+// fails with DeadlineExceeded without ever reaching the pipeline.
 func TestJobDeadlineExpires(t *testing.T) {
-	// The deadline is enforced via a derived context, so an expired
-	// deadline cancels the job while queued — drive it with a real (but
-	// tiny) timeout and a protect seam the job never reaches because the
-	// worker pool is saturated by a slow job.
+	// Drive it with a real (but tiny) timeout and a protect seam the job
+	// never reaches because the worker pool is saturated by a slow job.
 	block := make(chan struct{})
 	var ran atomic.Int32
-	f := seamFarm(Config{JobTimeout: 20 * time.Millisecond}, func(j *Job) (*core.Protected, error) {
+	f := seamFarm(Config{}, func(j *Job) (*core.Protected, error) {
 		if j.Name == "blocker" {
 			<-block
 		} else {
@@ -75,7 +73,9 @@ func TestJobDeadlineExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starved, err := f.Submit(context.Background(), "starved", seamModule(t), core.Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	starved, err := f.Submit(ctx, "starved", seamModule(t), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +144,15 @@ func TestFarmInvalidJobs(t *testing.T) {
 
 // blockingScan returns a ScanFunc that signals entry and then blocks
 // until release is closed — a deterministic way to occupy a worker.
-func blockingScan(entered chan<- struct{}, release <-chan struct{}) func(*image.Image, gadget.ScanConfig, *image.Image, *gadget.Catalog) *gadget.Catalog {
+func blockingScan(entered chan<- struct{}, release <-chan struct{}) func(img, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
 	var once bool
-	return func(img *image.Image, cfg gadget.ScanConfig, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
+	return func(img, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
 		if !once {
 			once = true
 			entered <- struct{}{}
 			<-release
 		}
-		return gadget.Rescan(img, cfg, prevImg, prev)
+		return gadget.Rescan(img, prevImg, prev)
 	}
 }
 
@@ -163,7 +163,7 @@ func TestFarmCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(Config{Workers: 1, Queue: 8})
+	f := New(Config{Workers: 1})
 	defer f.Close()
 
 	entered := make(chan struct{})
@@ -177,9 +177,10 @@ func TestFarmCancelQueued(t *testing.T) {
 	}
 	<-entered // the only worker is now wedged inside the blocker job
 
+	// Fill the queue: two places per worker.
 	ctx, cancel := context.WithCancel(context.Background())
 	var queued []*Job
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		j, err := f.Submit(ctx, "queued", p.Build(),
 			core.Options{VerifyFuncs: []string{p.VerifyFunc}})
 		if err != nil {
@@ -197,8 +198,8 @@ func TestFarmCancelQueued(t *testing.T) {
 			t.Errorf("queued job error = %v, want context.Canceled", res.Err)
 		}
 	}
-	if st := f.Stats(); st.JobsCancelled != 3 {
-		t.Errorf("cancelled count = %d, want 3", st.JobsCancelled)
+	if st := f.Stats(); st.JobsCancelled != 2 {
+		t.Errorf("cancelled count = %d, want 2", st.JobsCancelled)
 	}
 
 	close(release)
@@ -220,7 +221,7 @@ func TestFarmPanicIsolation(t *testing.T) {
 
 	j, err := f.Submit(ctx, "panicky", p.Build(), core.Options{
 		VerifyFuncs: []string{p.VerifyFunc},
-		ScanFunc: func(*image.Image, gadget.ScanConfig, *image.Image, *gadget.Catalog) *gadget.Catalog {
+		ScanFunc: func(_, _ *image.Image, _ *gadget.Catalog) *gadget.Catalog {
 			panic("injected stage failure")
 		},
 	})
@@ -257,7 +258,7 @@ func TestFarmCloseAndBackpressure(t *testing.T) {
 	}
 	opts := core.Options{VerifyFuncs: []string{p.VerifyFunc}}
 
-	f := New(Config{Workers: 1, Queue: 1})
+	f := New(Config{Workers: 1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	blocker, err := f.Submit(context.Background(), "blocker", p.Build(), core.Options{
@@ -268,10 +269,15 @@ func TestFarmCloseAndBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-entered
-	// Fill the queue (capacity 1), then overflow with a cancelled ctx.
-	queued, err := f.Submit(context.Background(), "queued", p.Build(), opts)
-	if err != nil {
-		t.Fatal(err)
+	// Fill the queue (two places per worker), then overflow with a
+	// cancelled ctx.
+	var queued []*Job
+	for i := 0; i < 2; i++ {
+		j, err := f.Submit(context.Background(), "queued", p.Build(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, j)
 	}
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -280,7 +286,9 @@ func TestFarmCloseAndBackpressure(t *testing.T) {
 	}
 	close(release)
 	waitResult(t, blocker)
-	waitResult(t, queued)
+	for _, j := range queued {
+		waitResult(t, j)
+	}
 	f.Close()
 
 	if _, err := f.Submit(context.Background(), "late", p.Build(), opts); !errors.Is(err, ErrClosed) {

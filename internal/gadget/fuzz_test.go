@@ -12,7 +12,7 @@ func FuzzScan(f *testing.F) {
 	f.Add([]byte{0xB8, 0x58, 0xC3, 0x00, 0x00, 0xC3})
 	f.Fuzz(func(t *testing.T, code []byte) {
 		const base = 0x1000
-		for _, g := range ScanBytes(code, base, ScanConfig{}) {
+		for _, g := range ScanBytes(code, base) {
 			lo, hi := g.Range()
 			if lo < base || hi > base+uint32(len(code)) || g.Len <= 0 {
 				t.Fatalf("gadget out of bounds: %v over %d bytes", g, len(code))
@@ -25,22 +25,15 @@ func FuzzScan(f *testing.F) {
 }
 
 // FuzzScanNaive holds the decode-once scanner to the naive per-offset
-// oracle on arbitrary code under a configuration picked by c: bit 0
-// skips far returns, bits 1-3 set MaxInsts (0 is the default) and the
-// high nibble picks MaxBytes.
+// oracle on arbitrary code.
 func FuzzScanNaive(f *testing.F) {
-	f.Add([]byte{0x58, 0xC3, 0x01, 0xD8, 0xC3}, byte(0))
-	f.Add([]byte{0xB8, 0x58, 0xCB, 0x00, 0x00, 0xCB}, byte(0x31))
-	f.Fuzz(func(t *testing.T, code []byte, c byte) {
+	f.Add([]byte{0x58, 0xC3, 0x01, 0xD8, 0xC3})
+	f.Add([]byte{0xB8, 0x58, 0xCB, 0x00, 0x00, 0xCB})
+	f.Fuzz(func(t *testing.T, code []byte) {
 		const base = 0x1000
-		cfg := ScanConfig{
-			SkipFar:  c&1 != 0,
-			MaxInsts: int(c >> 1 & 7),
-			MaxBytes: []int{0, 1, 5, 40, 300}[int(c>>4)%5],
-		}
-		got, want := ScanBytes(code, base, cfg), naiveScan(code, base, cfg)
+		got, want := ScanBytes(code, base), naiveScan(code, base)
 		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: scan differs from the naive scan (%d vs %d gadgets)", cfg, len(got), len(want))
+			t.Fatalf("scan differs from the naive scan (%d vs %d gadgets)", len(got), len(want))
 		}
 	})
 }
@@ -57,11 +50,11 @@ func FuzzRescan(f *testing.F) {
 		}
 		const addr = 0x1000
 		prevImg := execImage(addr, code)
-		prev := Scan(prevImg, ScanConfig{})
+		prev := Scan(prevImg)
 		c := append([]byte(nil), code...)
 		for ; len(edits) >= 3; edits = edits[3:] {
 			c[(int(edits[0])|int(edits[1])<<8)%len(c)] = edits[2]
 		}
-		checkRescan(t, "fuzz", execImage(addr, c), ScanConfig{}, prevImg, prev)
+		checkRescan(t, "fuzz", execImage(addr, c), prevImg, prev)
 	})
 }

@@ -199,10 +199,6 @@ func (g *Gadget) Range() (uint32, uint32) { return g.Addr, g.Addr + uint32(g.Len
 type Catalog struct {
 	Gadgets []*Gadget
 	byKind  map[Kind][]*Gadget
-	// cfg is the configuration, defaults applied, of the scan that
-	// built the catalog; zero for catalogs built by NewCatalog, which
-	// Rescan never reuses.
-	cfg ScanConfig
 }
 
 // NewCatalog indexes a gadget list.

@@ -52,7 +52,7 @@ func TestClassifyGolden(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := scanAt(tt.bytes, 0x1000, 0, ScanConfig{}.withDefaults())
+			g := scanAt(tt.bytes, 0x1000, 0)
 			if g == nil {
 				t.Fatalf("scanAt(% x) found no gadget", tt.bytes)
 			}
@@ -91,7 +91,7 @@ func TestClassifyRejectsControlFlow(t *testing.T) {
 		{0x74, 0x00, 0xC3},                   // je; ret
 	}
 	for _, b := range seqs {
-		if g := scanAt(b, 0, 0, ScanConfig{}.withDefaults()); g != nil {
+		if g := scanAt(b, 0, 0); g != nil {
 			t.Errorf("scanAt(% x) = %v, want nil", b, g)
 		}
 	}
@@ -99,7 +99,7 @@ func TestClassifyRejectsControlFlow(t *testing.T) {
 
 func TestClassifyPopChainAndClobbers(t *testing.T) {
 	// pop ecx; pop eax; ret: primary is eax (slot 1), ecx clobbered.
-	g := scanAt([]byte{0x59, 0x58, 0xC3}, 0, 0, ScanConfig{}.withDefaults())
+	g := scanAt([]byte{0x59, 0x58, 0xC3}, 0, 0)
 	if g == nil {
 		t.Fatal("no gadget")
 	}
@@ -122,7 +122,7 @@ func TestClassifyPopChainAndClobbers(t *testing.T) {
 func TestScanUnalignedGadgets(t *testing.T) {
 	// mov eax, 0x58c3: the immediate hides "pop eax; ret".
 	code := []byte{0xB8, 0x58, 0xC3, 0x00, 0x00, 0xC3}
-	gs := ScanBytes(code, 0x1000, ScanConfig{})
+	gs := ScanBytes(code, 0x1000)
 	var hidden *Gadget
 	for _, g := range gs {
 		if g.Addr == 0x1001 {
@@ -157,7 +157,7 @@ func TestCatalogQueries(t *testing.T) {
 		0x01, 0xD8, 0xC3, // add eax, ebx; ret
 		0x89, 0x08, 0xC3, // mov [eax], ecx; ret
 	}
-	cat := NewCatalog(ScanBytes(code, 0x2000, ScanConfig{}))
+	cat := NewCatalog(ScanBytes(code, 0x2000))
 	cat.Sort()
 
 	pops := cat.Find(KindPopReg, x86.NumRegs, x86.NumRegs)
@@ -246,7 +246,7 @@ func TestClassifierAgainstEmulator(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			code[r.Intn(len(code))] = 0xC3
 		}
-		for _, g := range ScanBytes(code, codeBase, ScanConfig{}) {
+		for _, g := range ScanBytes(code, codeBase) {
 			if !g.Usable() || g.MemReads || g.MemWrites {
 				continue
 			}
@@ -398,7 +398,7 @@ func TestClassifyExtendedKinds(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := scanAt(tt.bytes, 0x1000, 0, ScanConfig{}.withDefaults())
+			g := scanAt(tt.bytes, 0x1000, 0)
 			if g == nil {
 				t.Fatalf("scanAt(% x) found no gadget", tt.bytes)
 			}
@@ -444,7 +444,7 @@ func TestClassifyLoadWithIncidentalRead(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g := scanAt(tt.bytes, 0x1000, 0, ScanConfig{}.withDefaults())
+			g := scanAt(tt.bytes, 0x1000, 0)
 			if g == nil {
 				t.Fatalf("scanAt(% x) found no gadget", tt.bytes)
 			}

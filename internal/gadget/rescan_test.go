@@ -23,7 +23,7 @@ func gadgetRichCode(r *rand.Rand, n int) []byte {
 	return code
 }
 
-// maxLenGadget is a 24-byte gadget (the default MaxBytes): four
+// maxLenGadget is a 24-byte gadget (maxBytes long): four
 // mov eax,imm32, a shr eax,5 and the return.
 var maxLenGadget = []byte{
 	0xB8, 0x11, 0x11, 0x11, 0x11, 0xB8, 0x11, 0x11, 0x11, 0x11,
@@ -51,14 +51,14 @@ func snapshotCatalog(c *Catalog) (ptrs []*Gadget, vals []Gadget) {
 	return ptrs, vals
 }
 
-// checkRescan holds Rescan(img, cfg, prevImg, prev) to a full Scan and
+// checkRescan holds Rescan(img, prevImg, prev) to a full Scan and
 // checks that prev and its gadgets are left untouched. It returns how
 // many gadgets were reused with a flipped Aligned bit (cloned).
-func checkRescan(t *testing.T, name string, img *image.Image, cfg ScanConfig, prevImg *image.Image, prev *Catalog) int {
+func checkRescan(t *testing.T, name string, img, prevImg *image.Image, prev *Catalog) int {
 	t.Helper()
 	ptrs, vals := snapshotCatalog(prev)
-	got := Rescan(img, cfg, prevImg, prev)
-	want := Scan(img, cfg)
+	got := Rescan(img, prevImg, prev)
+	want := Scan(img)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: rescan differs from full scan (%d vs %d gadgets)", name, len(got.Gadgets), len(want.Gadgets))
 	}
@@ -86,8 +86,6 @@ func checkRescan(t *testing.T, name string, img *image.Image, cfg ScanConfig, pr
 func TestRescanMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	const addr = 0x401000
-	cfg := ScanConfig{}
-	maxBytes := cfg.withDefaults().MaxBytes
 	flips := 0
 	for round := 0; round < 16; round++ {
 		n := 64 + r.Intn(2048)
@@ -97,12 +95,12 @@ func TestRescanMatchesScan(t *testing.T) {
 		edge := r.Intn(n - maxBytes)
 		copy(code[edge:], maxLenGadget)
 		prevImg := execImage(addr, code)
-		prev := Scan(prevImg, cfg)
+		prev := Scan(prevImg)
 
 		edit := func(name string, f func(c []byte)) {
 			c := append([]byte(nil), code...)
 			f(c)
-			flips += checkRescan(t, name, execImage(addr, c), cfg, prevImg, prev)
+			flips += checkRescan(t, name, execImage(addr, c), prevImg, prev)
 		}
 		edit("none", func([]byte) {})
 		edit("single", func(c []byte) { c[r.Intn(n)] = byte(r.Intn(256)) })
@@ -139,16 +137,9 @@ func TestRescanMatchesScan(t *testing.T) {
 
 		// A section whose shape changed is scanned in full.
 		longer := append(append([]byte(nil), code...), gadgetRichCode(r, 1+r.Intn(64))...)
-		checkRescan(t, "longer", execImage(addr, longer), cfg, prevImg, prev)
-		checkRescan(t, "shorter", execImage(addr, code[:n-1-r.Intn(n/2)]), cfg, prevImg, prev)
-		checkRescan(t, "moved", execImage(addr+0x10, code), cfg, prevImg, prev)
-
-		// A catalog scanned under another configuration, or one not
-		// built by a scan, is never reused.
-		other := ScanConfig{MaxInsts: 3, MaxBytes: 12, SkipFar: true}
-		checkRescan(t, "config", prevImg, other, prevImg, prev)
-		checkRescan(t, "config-back", prevImg, cfg, prevImg, Scan(prevImg, other))
-		checkRescan(t, "unscanned", prevImg, cfg, prevImg, NewCatalog(prev.Gadgets))
+		checkRescan(t, "longer", execImage(addr, longer), prevImg, prev)
+		checkRescan(t, "shorter", execImage(addr, code[:n-1-r.Intn(n/2)]), prevImg, prev)
+		checkRescan(t, "moved", execImage(addr+0x10, code), prevImg, prev)
 	}
 	if flips == 0 {
 		t.Fatal("no edit flipped a reused gadget's Aligned bit; the realign case is not exercised")
@@ -157,8 +148,8 @@ func TestRescanMatchesScan(t *testing.T) {
 	// With nothing changed, every gadget is shared, not rebuilt.
 	code := gadgetRichCode(r, 2048)
 	img := execImage(addr, code)
-	prev := Scan(img, cfg)
-	got := Rescan(execImage(addr, append([]byte(nil), code...)), cfg, img, prev)
+	prev := Scan(img)
+	got := Rescan(execImage(addr, append([]byte(nil), code...)), img, prev)
 	for i, g := range got.Gadgets {
 		if g != prev.Gadgets[i] {
 			t.Fatalf("unchanged gadget %v was rebuilt", g)

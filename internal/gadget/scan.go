@@ -7,49 +7,36 @@ import (
 	"parallax/internal/x86"
 )
 
-// ScanConfig tunes the gadget scanner.
-type ScanConfig struct {
-	// MaxInsts is the longest considered gadget in instructions
-	// (including the return). Zero means 6, the paper's §VII-A limit
-	// ("we limited the length of the considered gadgets to six
-	// instructions").
-	MaxInsts int
-	// MaxBytes bounds a gadget's byte length. Zero means 24.
-	MaxBytes int
-	// IncludeFar controls whether retf-terminated gadgets are scanned
-	// (§IV-B5). Default true; set SkipFar to disable.
-	SkipFar bool
-}
-
-func (c ScanConfig) withDefaults() ScanConfig {
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 6
-	}
-	if c.MaxBytes == 0 {
-		c.MaxBytes = 24
-	}
-	return c
-}
+// The scanner's limits. Gadgets ending in retf are always scanned
+// (§IV-B5).
+const (
+	// maxInsts is the longest considered gadget in instructions,
+	// the return included: the paper's §VII-A limit ("we limited the
+	// length of the considered gadgets to six instructions").
+	maxInsts = 6
+	// maxBytes bounds a gadget's byte length.
+	maxBytes = 24
+)
 
 // ScanBytes finds every gadget in code (loaded at base): for each byte
-// offset, decode forward; a sequence of at most MaxInsts instructions
+// offset, decode forward; a sequence of at most maxInsts instructions
 // ending in ret/retf is a candidate, which the classifier then types.
-func ScanBytes(code []byte, base uint32, cfg ScanConfig) []*Gadget {
-	return scanSection(code, base, cfg.withDefaults(), nil, nil)
+func ScanBytes(code []byte, base uint32) []*Gadget {
+	return scanSection(code, base, nil, nil)
 }
 
 // scanSection scans code (loaded at base) given prevCode, the same
 // section's bytes at an earlier scan, and prev, the gadgets that scan
 // found, sorted by address. A gadget at offset off is a pure function
-// of base, code[off:off+MaxBytes] and len(code), so only the offsets
-// within MaxBytes before a changed byte are scanned again; every other
+// of base, code[off:off+maxBytes] and len(code), so only the offsets
+// within maxBytes before a changed byte are scanned again; every other
 // gadget of prev is reused as is. A nil prevCode (a full scan) makes
 // every offset dirty. Each dirty span is scanned through a reach
 // table that decodes every offset once (see reachTable). The Aligned
 // bits come from a fresh linear sweep, which on a full scan reads its
 // instruction lengths from that table; a reused gadget whose bit flips
 // is cloned rather than mutated.
-func scanSection(code []byte, base uint32, cfg ScanConfig, prevCode []byte, prev []*Gadget) []*Gadget {
+func scanSection(code []byte, base uint32, prevCode []byte, prev []*Gadget) []*Gadget {
 	var aligned []bool
 	if prevCode != nil {
 		aligned = alignedStarts(len(code), func(off int) int {
@@ -73,12 +60,12 @@ func scanSection(code []byte, base uint32, cfg ScanConfig, prevCode []byte, prev
 			out = append(out, g)
 		}
 	}
-	for _, d := range dirtySpans(code, prevCode, cfg.MaxBytes) {
+	for _, d := range dirtySpans(code, prevCode) {
 		keep(d.lo)
 		for len(prev) > 0 && int(prev[0].Addr-base) < d.hi {
 			prev = prev[1:] // stale: rescanned below
 		}
-		t := newReachTable(code, base, d, cfg)
+		t := newReachTable(code, base, d)
 		if aligned == nil {
 			// A full scan: the one span's table covers the section.
 			aligned = alignedStarts(len(code), t.instLen)
@@ -111,7 +98,7 @@ func alignedStarts(n int, instLen func(off int) int) []bool {
 // candidate starting at off decodes along the fixed successor walk
 // pos -> pos+Len, because the instruction at pos depends only on pos;
 // so each offset's candidate follows from its own instruction and its
-// successor's entry. The table covers [lo, min(hi+MaxBytes, len(code)))
+// successor's entry. The table covers [lo, min(hi+maxBytes, len(code)))
 // for a span [lo, hi), filled right to left.
 type reachTable struct {
 	lo    int
@@ -121,14 +108,14 @@ type reachTable struct {
 
 // reach is the walk from one offset up to and including its first
 // return: n instructions over b bytes, or n == 0 when the walk fails
-// first (a decode error, the section's end, a retf under SkipFar) or
-// exceeds MaxInsts or MaxBytes. b never exceeds the section's length,
-// which fits an address, and n never exceeds b.
+// first (a decode error, the section's end) or exceeds maxInsts or
+// maxBytes. b never exceeds the section's length, which fits an
+// address, and n never exceeds b.
 type reach struct{ n, b uint32 }
 
 // newReachTable decodes the offsets of span d.
-func newReachTable(code []byte, base uint32, d span, cfg ScanConfig) *reachTable {
-	end := min(d.hi+max(cfg.MaxBytes, 0), len(code))
+func newReachTable(code []byte, base uint32, d span) *reachTable {
+	end := min(d.hi+maxBytes, len(code))
 	t := &reachTable{lo: d.lo, lens: make([]uint8, end-d.lo), reach: make([]reach, end-d.lo)}
 	for p := end - 1; p >= d.lo; p-- {
 		i := p - d.lo
@@ -139,18 +126,17 @@ func newReachTable(code []byte, base uint32, d span, cfg ScanConfig) *reachTable
 		t.lens[i] = uint8(inst.Len)
 		var r reach
 		switch {
-		case inst.Op == x86.RETF && cfg.SkipFar:
 		case inst.Op == x86.RET || inst.Op == x86.RETF:
 			r = reach{1, uint32(inst.Len)}
 		case p+inst.Len < end:
 			// A walk whose next instruction starts at or past end
-			// has run past the section or past MaxBytes from every
+			// has run past the section or past maxBytes from every
 			// start in the span, so it has no gadget.
 			if next := t.reach[i+inst.Len]; next.n != 0 {
 				r = reach{next.n + 1, next.b + uint32(inst.Len)}
 			}
 		}
-		if int(r.n) <= cfg.MaxInsts && int(r.b) <= cfg.MaxBytes {
+		if r.n <= maxInsts && r.b <= maxBytes {
 			t.reach[i] = r
 		}
 	}
@@ -188,7 +174,7 @@ type span struct{ lo, hi int }
 // may differ between prev and code, which have the same length: the
 // window (i-maxBytes, i] around every byte i that differs. A nil prev
 // makes the whole of code dirty.
-func dirtySpans(code, prev []byte, maxBytes int) []span {
+func dirtySpans(code, prev []byte) []span {
 	if prev == nil {
 		return []span{{0, len(code)}}
 	}
@@ -208,21 +194,20 @@ func dirtySpans(code, prev []byte, maxBytes int) []span {
 }
 
 // Scan finds and indexes all gadgets in an image's executable sections.
-func Scan(img *image.Image, cfg ScanConfig) *Catalog {
-	return Rescan(img, cfg, nil, nil)
+func Scan(img *image.Image) *Catalog {
+	return Rescan(img, nil, nil)
 }
 
-// Rescan returns the same catalog as Scan(img, cfg), reusing the work
-// of an earlier scan: prev is the catalog Scan or Rescan returned for
-// prevImg under the same cfg. An executable section of img with the
-// same address and length as one of prevImg is rescanned only around
-// the bytes that differ; any other section, a nil prev, or a prev
-// scanned under another cfg is scanned in full. prevImg's bytes must
-// not have changed since prev was scanned from them. Neither prev nor
-// its gadgets are modified: the result shares unchanged gadgets.
-func Rescan(img *image.Image, cfg ScanConfig, prevImg *image.Image, prev *Catalog) *Catalog {
-	cfg = cfg.withDefaults()
-	if prev == nil || prev.cfg != cfg {
+// Rescan returns the same catalog as Scan(img), reusing the work of an
+// earlier scan: prev is the catalog Scan or Rescan returned for
+// prevImg. An executable section of img with the same address and
+// length as one of prevImg is rescanned only around the bytes that
+// differ; any other section, or a nil prev, is scanned in full.
+// prevImg's bytes must not have changed since prev was scanned from
+// them. Neither prev nor its gadgets are modified: the result shares
+// unchanged gadgets.
+func Rescan(img, prevImg *image.Image, prev *Catalog) *Catalog {
+	if prev == nil {
 		prevImg = nil
 	}
 	var all []*Gadget
@@ -235,11 +220,10 @@ func Rescan(img *image.Image, cfg ScanConfig, prevImg *image.Image, prev *Catalo
 		if ps := execSection(prevImg, s.Addr, len(s.Data)); ps != nil {
 			prevCode, prevGadgets = ps.Data, prev.within(s.Addr, s.Addr+uint32(len(s.Data)))
 		}
-		all = append(all, scanSection(s.Data, s.Addr, cfg, prevCode, prevGadgets)...)
+		all = append(all, scanSection(s.Data, s.Addr, prevCode, prevGadgets)...)
 	}
 	c := NewCatalog(all)
 	c.Sort()
-	c.cfg = cfg
 	return c
 }
 

@@ -13,16 +13,6 @@ import (
 	"parallax/internal/image"
 )
 
-// naiveConfigs are the scanner configurations held to the oracle:
-// the defaults, far returns skipped, and instruction and byte limits
-// on both sides of the defaults, including MaxBytes past 255.
-var naiveConfigs = []gadget.ScanConfig{
-	{}, {SkipFar: true},
-	{MaxInsts: 1}, {MaxInsts: 2}, {MaxInsts: 10},
-	{MaxBytes: 1}, {MaxBytes: 5}, {MaxBytes: 40}, {MaxBytes: 300},
-	{MaxInsts: 10, MaxBytes: 300, SkipFar: true},
-}
-
 // textImage wraps code as a lone executable section at addr.
 func textImage(addr uint32, code []byte) *image.Image {
 	return &image.Image{Sections: []*image.Section{
@@ -33,19 +23,19 @@ func textImage(addr uint32, code []byte) *image.Image {
 // checkNaive holds a full scan of code to the naive oracle, and so
 // does a rescan of an edit touching both ends of the section: one
 // dirty span starts at the first byte and another ends at the last.
-func checkNaive(t *testing.T, name string, r *rand.Rand, addr uint32, code []byte, cfg gadget.ScanConfig) {
+func checkNaive(t *testing.T, name string, r *rand.Rand, addr uint32, code []byte) {
 	t.Helper()
 	same := func(what string, got, want []*gadget.Gadget) {
 		t.Helper()
 		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s %+v: %s differs from the naive scan (%d vs %d gadgets)",
-				name, cfg, what, len(got), len(want))
+			t.Fatalf("%s: %s differs from the naive scan (%d vs %d gadgets)",
+				name, what, len(got), len(want))
 		}
 	}
-	want := gadget.NaiveScan(code, addr, cfg)
-	same("ScanBytes", gadget.ScanBytes(code, addr, cfg), want)
+	want := gadget.NaiveScan(code, addr)
+	same("ScanBytes", gadget.ScanBytes(code, addr), want)
 	img := textImage(addr, code)
-	prev := gadget.Scan(img, cfg)
+	prev := gadget.Scan(img)
 	same("Scan", prev.Gadgets, want)
 	if len(code) == 0 {
 		return
@@ -53,7 +43,7 @@ func checkNaive(t *testing.T, name string, r *rand.Rand, addr uint32, code []byt
 	c := append([]byte(nil), code...)
 	c[0] ^= byte(1 + r.Intn(255))
 	c[len(c)-1] ^= byte(1 + r.Intn(255))
-	same("Rescan", gadget.Rescan(textImage(addr, c), cfg, img, prev).Gadgets, gadget.NaiveScan(c, addr, cfg))
+	same("Rescan", gadget.Rescan(textImage(addr, c), img, prev).Gadgets, gadget.NaiveScan(c, addr))
 }
 
 // TestScanMatchesNaive: the decode-once scanner finds exactly the
@@ -92,7 +82,7 @@ func TestScanMatchesNaive(t *testing.T) {
 		progs = append(progs, p)
 	}
 	for _, p := range progs {
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +90,6 @@ func TestScanMatchesNaive(t *testing.T) {
 		secs = append(secs, section{p.Name, text.Addr, text.Data})
 	}
 	for _, s := range secs {
-		cfgs := naiveConfigs
-		if len(s.code) > 1<<16 {
-			cfgs = cfgs[:2] // the naive scan is slow; the defaults suffice
-		}
-		for _, cfg := range cfgs {
-			checkNaive(t, s.name, r, s.addr, s.code, cfg)
-		}
+		checkNaive(t, s.name, r, s.addr, s.code)
 	}
 }

@@ -12,8 +12,7 @@ var (
 // naiveScan is the reference scanner the production one is held to:
 // every byte offset decodes its own candidate from scratch, and the
 // Aligned bits come from a separate decoding sweep.
-func naiveScan(code []byte, base uint32, cfg ScanConfig) []*Gadget {
-	cfg = cfg.withDefaults()
+func naiveScan(code []byte, base uint32) []*Gadget {
 	aligned := make([]bool, len(code))
 	for off := 0; off < len(code); {
 		aligned[off] = true
@@ -26,7 +25,7 @@ func naiveScan(code []byte, base uint32, cfg ScanConfig) []*Gadget {
 	}
 	var out []*Gadget
 	for off := range code {
-		if g := scanAt(code, base, off, cfg); g != nil {
+		if g := scanAt(code, base, off); g != nil {
 			g.Aligned = aligned[off]
 			out = append(out, g)
 		}
@@ -35,26 +34,23 @@ func naiveScan(code []byte, base uint32, cfg ScanConfig) []*Gadget {
 }
 
 // scanAt decodes a gadget candidate starting at offset off.
-func scanAt(code []byte, base uint32, off int, cfg ScanConfig) *Gadget {
+func scanAt(code []byte, base uint32, off int) *Gadget {
 	var insts []x86.Inst
 	pos := off
-	for len(insts) < cfg.MaxInsts {
-		if pos-off >= cfg.MaxBytes || pos >= len(code) {
+	for len(insts) < maxInsts {
+		if pos-off >= maxBytes || pos >= len(code) {
 			return nil
 		}
 		inst, err := x86.Decode(code[pos:], base+uint32(pos))
 		if err != nil {
 			return nil
 		}
-		if pos-off+inst.Len > cfg.MaxBytes {
+		if pos-off+inst.Len > maxBytes {
 			return nil
 		}
 		insts = append(insts, inst)
 		pos += inst.Len
 		if inst.Op == x86.RET || inst.Op == x86.RETF {
-			if inst.Op == x86.RETF && cfg.SkipFar {
-				return nil
-			}
 			g := &Gadget{
 				Addr:  base + uint32(off),
 				Len:   pos - off,

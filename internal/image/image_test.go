@@ -10,7 +10,7 @@ import (
 
 // linkSimple builds a two-function object with data references and
 // links it.
-func linkSimple(t *testing.T, layout Layout) (*Image, *Object) {
+func linkSimple(t *testing.T) (*Image, *Object) {
 	t.Helper()
 	obj := &Object{Entry: "main"}
 
@@ -55,7 +55,7 @@ func linkSimple(t *testing.T, layout Layout) (*Image, *Object) {
 		t.Fatal(err)
 	}
 
-	img, err := Link(obj, layout)
+	img, err := Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func linkSimple(t *testing.T, layout Layout) (*Image, *Object) {
 }
 
 func TestLinkLayoutAndSymbols(t *testing.T) {
-	img, _ := linkSimple(t, Layout{})
+	img, _ := linkSimple(t)
 
 	text := img.Text()
 	if text == nil || text.Perm != PermR|PermX {
@@ -95,7 +95,7 @@ func TestLinkLayoutAndSymbols(t *testing.T) {
 }
 
 func TestLinkRelocationsResolve(t *testing.T) {
-	img, _ := linkSimple(t, Layout{})
+	img, _ := linkSimple(t)
 	text := img.Text()
 	counter := img.MustSymbol("counter")
 	leaf := img.MustSymbol("leaf")
@@ -169,7 +169,7 @@ func TestLinkPadAndAlign(t *testing.T) {
 	b := &Func{Name: "b", Pad: 3, Align: 1,
 		Items: []Item{InstItem(x86.Inst{Op: x86.RET, W: 32})}}
 	obj.Funcs = []*Func{a, b}
-	img, err := Link(obj, Layout{})
+	img, err := Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestLinkErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Link(tt.obj, Layout{})
+			_, err := Link(tt.obj)
 			if err == nil {
 				t.Fatal("Link succeeded, want error")
 			}
@@ -227,7 +227,7 @@ func TestLinkErrors(t *testing.T) {
 }
 
 func TestImageReadWriteClone(t *testing.T) {
-	img, _ := linkSimple(t, Layout{})
+	img, _ := linkSimple(t)
 	counter := img.MustSymbol("counter")
 
 	// WriteAt + ReadAt round trip.
@@ -268,7 +268,7 @@ func TestImageReadWriteClone(t *testing.T) {
 }
 
 func TestImageSymbolQueries(t *testing.T) {
-	img, _ := linkSimple(t, Layout{})
+	img, _ := linkSimple(t)
 	main := img.MustSymbol("main")
 	s, ok := img.SymbolAt(main.Addr + 1)
 	if !ok || s.Name != "main" {
@@ -287,7 +287,7 @@ func TestImageSymbolQueries(t *testing.T) {
 }
 
 func TestSerializationRoundTrip(t *testing.T) {
-	img, _ := linkSimple(t, Layout{})
+	img, _ := linkSimple(t)
 	var buf bytes.Buffer
 	if _, err := img.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestObjectClone(t *testing.T) {
-	_, obj := linkSimple(t, Layout{})
+	_, obj := linkSimple(t)
 	clone := obj.Clone()
 	clone.Funcs[0].Items[0].Label = "mutated"
 	clone.Data[0].Bytes[0] = 0xFF

@@ -6,35 +6,17 @@ import (
 	"parallax/internal/x86"
 )
 
-// Layout controls where the linker places sections.
-type Layout struct {
-	// TextBase is the load address of .text. Zero means the default
-	// (0x08048000, the classic x86 ELF base).
-	TextBase uint32
-	// FuncAlign is the default function start alignment. Zero means 16.
-	FuncAlign uint32
-	// PadByte fills inter-function padding. Zero means 0x90 (NOP).
-	PadByte byte
-	// PageSize separates sections with distinct permissions. Zero means
-	// 4096.
-	PageSize uint32
-}
-
-func (l Layout) withDefaults() Layout {
-	if l.TextBase == 0 {
-		l.TextBase = 0x08048000
-	}
-	if l.FuncAlign == 0 {
-		l.FuncAlign = 16
-	}
-	if l.PadByte == 0 {
-		l.PadByte = 0x90
-	}
-	if l.PageSize == 0 {
-		l.PageSize = 4096
-	}
-	return l
-}
+// The link layout of every image: a standard x86 image.
+const (
+	// textBase is the load address of .text, the classic x86 ELF base.
+	textBase = 0x08048000
+	// funcAlign is the start alignment of a function whose Align is 0.
+	funcAlign = 16
+	// padByte fills inter-function padding (NOP).
+	padByte = 0x90
+	// pageSize separates sections with distinct permissions.
+	pageSize = 4096
+)
 
 func alignUp(v, a uint32) uint32 {
 	if a == 0 {
@@ -44,8 +26,8 @@ func alignUp(v, a uint32) uint32 {
 }
 
 // Link lays out and encodes an object into a loadable image.
-func Link(obj *Object, layout Layout) (*Image, error) {
-	l := newLinker(obj, layout)
+func Link(obj *Object) (*Image, error) {
+	l := &linker{obj: obj, syms: make(map[string]Symbol)}
 	return l.link()
 }
 
@@ -64,18 +46,13 @@ type refSite struct {
 }
 
 type linker struct {
-	obj    *Object
-	layout Layout
+	obj *Object
 
 	funcs []*funcLayout
 	text  []byte    // encoded .text, reference slots not yet patched
 	refs  []refSite // in text order
 	syms  map[string]Symbol
 	img   *Image
-}
-
-func newLinker(obj *Object, layout Layout) *linker {
-	return &linker{obj: obj, layout: layout.withDefaults(), syms: make(map[string]Symbol)}
 }
 
 func (l *linker) link() (*Image, error) {
@@ -119,7 +96,7 @@ const farPlaceholder = 0x7FFFFFF0
 // no Ref jumps to an absolute address, so its bytes depend on where it
 // sits.
 func (l *linker) layoutText() error {
-	base := l.layout.TextBase
+	base := uint32(textBase)
 	l.funcs = make([]*funcLayout, 0, len(l.obj.Funcs))
 	// Generated text averages about 5 bytes per item, padding included;
 	// presizing spares regrowing a megabyte buffer.
@@ -131,11 +108,11 @@ func (l *linker) layoutText() error {
 	for _, fn := range l.obj.Funcs {
 		align := fn.Align
 		if align == 0 {
-			align = l.layout.FuncAlign
+			align = funcAlign
 		}
 		addr := alignUp(base+uint32(len(text))+fn.Pad, align)
 		for uint32(len(text)) < addr-base {
-			text = append(text, l.layout.PadByte)
+			text = append(text, padByte)
 		}
 		fl := &funcLayout{fn: fn, addr: addr, labels: make(map[string]uint32)}
 		for i := range fn.Items {
@@ -304,13 +281,12 @@ func (l *linker) layoutData(textEnd uint32) error {
 		return addr, nil
 	}
 
-	page := l.layout.PageSize
-	roBase := alignUp(textEnd, page)
+	roBase := alignUp(textEnd, pageSize)
 	roEnd, err := place(roBase, ro)
 	if err != nil {
 		return err
 	}
-	rwBase := alignUp(roEnd, page)
+	rwBase := alignUp(roEnd, pageSize)
 	if len(ro) == 0 {
 		rwBase = roBase
 	}
@@ -318,7 +294,7 @@ func (l *linker) layoutData(textEnd uint32) error {
 	if err != nil {
 		return err
 	}
-	bssBase := alignUp(rwEnd, page)
+	bssBase := alignUp(rwEnd, pageSize)
 	if len(rw) == 0 {
 		bssBase = rwBase
 	}
@@ -328,7 +304,7 @@ func (l *linker) layoutData(textEnd uint32) error {
 	}
 
 	l.img = &Image{}
-	text := &Section{Name: ".text", Addr: l.layout.TextBase, Perm: PermR | PermX}
+	text := &Section{Name: ".text", Addr: textBase, Perm: PermR | PermX}
 	l.img.Sections = append(l.img.Sections, text)
 	if len(ro) > 0 {
 		l.img.Sections = append(l.img.Sections, &Section{
@@ -358,7 +334,7 @@ func (l *linker) emit() error {
 		if err != nil {
 			return fmt.Errorf("image: %s item %d: %w", r.fl.fn.Name, r.item, err)
 		}
-		siteAddr := l.layout.TextBase + r.slot
+		siteAddr := textBase + r.slot
 		kind := RelocAbs32
 		if it.Ref.Slot == RefTarget {
 			value -= siteAddr + 4

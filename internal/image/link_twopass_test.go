@@ -19,19 +19,18 @@ import (
 // at address 0 and then encoded it again at its address. Text and data
 // bytes, symbols, relocations and the entry must be equal.
 func TestLinkMatchesTwoPass(t *testing.T) {
-	custom := image.Layout{TextBase: 0x0040_0000, FuncAlign: 32, PadByte: 0xCC, PageSize: 0x2000}
-	check := func(t *testing.T, obj *image.Object, layout image.Layout) {
+	check := func(t *testing.T, obj *image.Object) {
 		t.Helper()
-		want, err := twoPassLink(obj, layout)
+		want, err := twoPassLink(obj)
 		if err != nil {
 			t.Fatalf("two-pass link: %v", err)
 		}
-		got, err := image.Link(obj, layout)
+		got, err := image.Link(obj)
 		if err != nil {
 			t.Fatalf("Link: %v", err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Link differs from the two-pass linker under %+v:\n%s", layout, imageDiff(got, want))
+			t.Fatalf("Link differs from the two-pass linker:\n%s", imageDiff(got, want))
 		}
 	}
 
@@ -54,13 +53,12 @@ func TestLinkMatchesTwoPass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, obj, image.Layout{})
+			check(t, obj)
 			if i < len(corpus.All()) {
 				if _, err := rewrite.SplitImmediates(obj, nil); err != nil {
 					t.Fatal(err)
 				}
-				check(t, obj, image.Layout{})
-				check(t, obj, custom)
+				check(t, obj)
 			}
 		})
 	}
@@ -70,7 +68,7 @@ func TestLinkMatchesTwoPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := codegen.Build(p.Build(), image.Layout{})
+		img, err := codegen.Build(p.Build())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,14 +76,11 @@ func TestLinkMatchesTwoPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, obj, image.Layout{})
-		check(t, obj, custom)
+		check(t, obj)
 	})
 
 	t.Run("hand-built", func(t *testing.T) {
-		obj := handBuiltObject(t)
-		check(t, obj, image.Layout{})
-		check(t, obj, custom)
+		check(t, handBuiltObject(t))
 	})
 }
 
@@ -184,20 +179,8 @@ func imageDiff(got, want *image.Image) string {
 // far placeholder in its reference slot, and emit encodes it again at
 // its address and patches the slot. It is kept verbatim in logic, on
 // the exported API, as TestLinkMatchesTwoPass's oracle.
-func twoPassLink(obj *image.Object, layout image.Layout) (*image.Image, error) {
-	if layout.TextBase == 0 {
-		layout.TextBase = 0x08048000
-	}
-	if layout.FuncAlign == 0 {
-		layout.FuncAlign = 16
-	}
-	if layout.PadByte == 0 {
-		layout.PadByte = 0x90
-	}
-	if layout.PageSize == 0 {
-		layout.PageSize = 4096
-	}
-	l := &tpLinker{obj: obj, layout: layout, syms: make(map[string]image.Symbol)}
+func twoPassLink(obj *image.Object) (*image.Image, error) {
+	l := &tpLinker{obj: obj, syms: make(map[string]image.Symbol)}
 	if len(obj.Funcs) == 0 {
 		return nil, fmt.Errorf("image: cannot link object with no functions")
 	}
@@ -231,12 +214,19 @@ type tpFunc struct {
 	offs   []uint32
 }
 
+// The layout Link places every image at.
+const (
+	tpTextBase  = 0x08048000
+	tpFuncAlign = 16
+	tpPadByte   = 0x90
+	tpPageSize  = 4096
+)
+
 type tpLinker struct {
-	obj    *image.Object
-	layout image.Layout
-	funcs  []*tpFunc
-	syms   map[string]image.Symbol
-	img    *image.Image
+	obj   *image.Object
+	funcs []*tpFunc
+	syms  map[string]image.Symbol
+	img   *image.Image
 }
 
 func tpAlignUp(v, a uint32) uint32 {
@@ -247,11 +237,11 @@ func tpAlignUp(v, a uint32) uint32 {
 }
 
 func (l *tpLinker) layoutText() error {
-	addr := l.layout.TextBase
+	addr := uint32(tpTextBase)
 	for _, fn := range l.obj.Funcs {
 		align := fn.Align
 		if align == 0 {
-			align = l.layout.FuncAlign
+			align = tpFuncAlign
 		}
 		addr += fn.Pad
 		addr = tpAlignUp(addr, align)
@@ -403,7 +393,7 @@ func (l *tpLinker) layoutData(textEnd uint32) error {
 		}
 		return addr, nil
 	}
-	page := l.layout.PageSize
+	page := uint32(tpPageSize)
 	roBase := tpAlignUp(textEnd, page)
 	roEnd, err := place(roBase, ro)
 	if err != nil {
@@ -426,7 +416,7 @@ func (l *tpLinker) layoutData(textEnd uint32) error {
 		return err
 	}
 	l.img = &image.Image{}
-	l.img.Sections = append(l.img.Sections, &image.Section{Name: ".text", Addr: l.layout.TextBase, Perm: image.PermR | image.PermX})
+	l.img.Sections = append(l.img.Sections, &image.Section{Name: ".text", Addr: tpTextBase, Perm: image.PermR | image.PermX})
 	if len(ro) > 0 {
 		l.img.Sections = append(l.img.Sections, &image.Section{Name: ".rodata", Addr: roBase, Size: roEnd - roBase, Perm: image.PermR})
 	}
@@ -460,8 +450,8 @@ func (l *tpLinker) emit() error {
 	text := l.img.Text()
 	var out []byte
 	for _, fl := range l.funcs {
-		for uint32(len(out)) < fl.addr-l.layout.TextBase {
-			out = append(out, l.layout.PadByte)
+		for uint32(len(out)) < fl.addr-tpTextBase {
+			out = append(out, tpPadByte)
 		}
 		for i := range fl.fn.Items {
 			it := &fl.fn.Items[i]

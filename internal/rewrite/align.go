@@ -34,7 +34,7 @@ type AlignResult struct {
 // The object is not modified; each candidate pad is linked into a fresh
 // image. The first pad that both produces the 0xC3 and yields at least
 // one scanner-visible gadget ending at it wins.
-func AlignForGadget(obj *image.Object, target string, layout image.Layout) (*AlignResult, error) {
+func AlignForGadget(obj *image.Object, target string) (*AlignResult, error) {
 	tf := obj.Func(target)
 	if tf == nil {
 		return nil, fmt.Errorf("rewrite: function %q not in object", target)
@@ -51,7 +51,7 @@ func AlignForGadget(obj *image.Object, target string, layout image.Layout) (*Ali
 		}
 	}
 	for _, pf := range candidates {
-		if res, err := alignWith(obj, pf, target, layout); err == nil {
+		if res, err := alignWith(obj, pf, target); err == nil {
 			return res, nil
 		}
 	}
@@ -60,8 +60,7 @@ func AlignForGadget(obj *image.Object, target string, layout image.Layout) (*Ali
 
 // alignWith searches pads of one function for a displacement gadget on
 // branches to target.
-func alignWith(obj *image.Object, padFunc *image.Func, target string,
-	layout image.Layout) (*AlignResult, error) {
+func alignWith(obj *image.Object, padFunc *image.Func, target string) (*AlignResult, error) {
 	origPad := padFunc.Pad
 	origAlign := padFunc.Align
 	// Byte-granular placement: the default 16-byte function alignment
@@ -71,7 +70,7 @@ func alignWith(obj *image.Object, padFunc *image.Func, target string,
 
 	for pad := uint32(0); pad < 256; pad++ {
 		padFunc.Pad = origPad + pad
-		img, err := image.Link(obj, layout)
+		img, err := image.Link(obj)
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 func TestLiftRelinkPreservesBehaviour(t *testing.T) {
 	for _, p := range corpus.All() {
 		t.Run(p.Name, func(t *testing.T) {
-			img, err := codegen.Build(p.Build(), image.Layout{})
+			img, err := codegen.Build(p.Build())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -23,7 +23,7 @@ func TestLiftRelinkPreservesBehaviour(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			relinked, err := image.Link(obj, image.Layout{})
+			relinked, err := image.Link(obj)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,12 +42,12 @@ func TestLiftThenRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := runStatus(t, img)
-	before := len(gadget.Scan(img, gadget.ScanConfig{}).Gadgets)
+	before := len(gadget.Scan(img).Gadgets)
 
 	obj, err := Lift(img)
 	if err != nil {
@@ -57,14 +57,14 @@ func TestLiftThenRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	protected, err := image.Link(obj, image.Layout{})
+	protected, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := runStatus(t, protected); got != want {
 		t.Fatalf("legacy-rewritten status %d != original %d", got, want)
 	}
-	after := len(gadget.Scan(protected, gadget.ScanConfig{}).Gadgets)
+	after := len(gadget.Scan(protected).Gadgets)
 	if after <= before {
 		t.Errorf("gadgets %d -> %d; rewriting the lifted binary crafted nothing", before, after)
 	}
@@ -79,7 +79,7 @@ func TestLiftRelinkTextIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := codegen.Build(p.Build(), image.Layout{})
+	img, err := codegen.Build(p.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestLiftRelinkTextIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relinked, err := image.Link(obj, image.Layout{})
+	relinked, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}

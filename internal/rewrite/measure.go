@@ -153,7 +153,7 @@ func Measure(img *image.Image) (*Report, error) {
 
 	// Existing near/far gadgets: strict and reach coincide with the
 	// scanner's spans plus the one-instruction reach before each ret.
-	for _, g := range gadget.ScanBytes(code, text.Addr, gadget.ScanConfig{}) {
+	for _, g := range gadget.ScanBytes(code, text.Addr) {
 		lo, hi := g.Range()
 		rule := RuleExisting
 		if g.FarRet {

@@ -60,7 +60,7 @@ func runStatus(t *testing.T, img *image.Image) int32 {
 
 func TestMeasureReportsAllRules(t *testing.T) {
 	m := testModule(t)
-	img, err := codegen.Build(m, image.Layout{})
+	img, err := codegen.Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSplitPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := image.Link(obj.Clone(), image.Layout{})
+	before, err := image.Link(obj.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSplitPreservesSemantics(t *testing.T) {
 	if res.Sites < 5 {
 		t.Errorf("only %d split sites", res.Sites)
 	}
-	after, err := image.Link(obj, image.Layout{})
+	after, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestSplitPreservesSemantics(t *testing.T) {
 		t.Fatalf("split changed behaviour: %d != %d", got, want)
 	}
 
-	gBefore := len(gadget.Scan(before, gadget.ScanConfig{}).Gadgets)
-	gAfter := len(gadget.Scan(after, gadget.ScanConfig{}).Gadgets)
+	gBefore := len(gadget.Scan(before).Gadgets)
+	gAfter := len(gadget.Scan(after).Gadgets)
 	if gAfter <= gBefore {
 		t.Errorf("gadget count did not grow: %d -> %d", gBefore, gAfter)
 	}
@@ -136,11 +136,11 @@ func TestSplitCraftsUsableKinds(t *testing.T) {
 	if _, err := SplitImmediates(obj, nil); err != nil {
 		t.Fatal(err)
 	}
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := gadget.Scan(img, gadget.ScanConfig{})
+	cat := gadget.Scan(img)
 	for _, k := range []gadget.Kind{gadget.KindPopReg, gadget.KindAddReg, gadget.KindStore} {
 		if len(cat.Find(k, x86.NumRegs, x86.NumRegs)) == 0 {
 			t.Errorf("no usable %v gadget crafted", k)
@@ -171,7 +171,7 @@ func TestAlignCreatesDisplacementGadget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := AlignForGadget(obj, "helper", image.Layout{})
+	res, err := AlignForGadget(obj, "helper")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestAlignCreatesDisplacementGadget(t *testing.T) {
 		t.Fatalf("no 0xC3 at crafted address %#x", res.RetAddr)
 	}
 	// Behaviour must be unchanged by pure re-alignment.
-	plain, err := image.Link(obj, image.Layout{})
+	plain, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSpuriousInsertion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := image.Link(obj.Clone(), image.Layout{})
+	before, err := image.Link(obj.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +210,15 @@ func TestSpuriousInsertion(t *testing.T) {
 	if n == 0 {
 		t.Fatal("nothing inserted")
 	}
-	after, err := image.Link(obj, image.Layout{})
+	after, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := runStatus(t, after), runStatus(t, before); got != want {
 		t.Fatalf("spurious insertion changed behaviour: %d != %d", got, want)
 	}
-	gBefore := len(gadget.Scan(before, gadget.ScanConfig{}).Gadgets)
-	gAfter := len(gadget.Scan(after, gadget.ScanConfig{}).Gadgets)
+	gBefore := len(gadget.Scan(before).Gadgets)
+	gAfter := len(gadget.Scan(after).Gadgets)
 	if gAfter <= gBefore {
 		t.Errorf("gadget count did not grow: %d -> %d", gBefore, gAfter)
 	}
@@ -271,7 +271,7 @@ func TestFreeStatusImmediates(t *testing.T) {
 		t.Fatalf("sites = %d, want 1", res.Sites)
 	}
 
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestFreeStatusImmediates(t *testing.T) {
 	}
 	// A gadget materialized inside the immediate.
 	sym := img.MustSymbol("status")
-	cat := gadget.Scan(img, gadget.ScanConfig{})
+	cat := gadget.Scan(img)
 	found := false
 	for _, g := range cat.Gadgets {
 		if g.Addr > sym.Addr && g.Addr < sym.Addr+sym.Size && g.Usable() {

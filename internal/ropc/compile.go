@@ -23,17 +23,12 @@ type Options struct {
 	Mu bool
 }
 
-// Compile translates an IR function into a ROP chain.
+// CompileWith translates an IR function into a ROP chain.
 //
 // The function's virtual registers live in a scratch frame at
 // frameBase (one dword per register, two context-save slots, and a
 // trailing return-value slot); the chain is position-dependent only
 // through the gadget and frame addresses baked into its words.
-func Compile(f *ir.Func, env *Env, frameBase uint32) (*Chain, error) {
-	return CompileWith(f, env, frameBase, Options{})
-}
-
-// CompileWith is Compile with explicit options.
 func CompileWith(f *ir.Func, env *Env, frameBase uint32, opt Options) (*Chain, error) {
 	if !Chainable(f) {
 		return nil, fmt.Errorf("ropc: %s makes calls or syscalls and cannot be chained", f.Name)
@@ -68,9 +63,9 @@ func CompileWith(f *ir.Func, env *Env, frameBase uint32, opt Options) (*Chain, e
 // registers: two µ-chain context-save slots and the return slot (last).
 const frameExtra = 3
 
-// FrameWords returns the number of frame dwords Compile will use for a
-// function. Callers reserving frame space before compilation use this;
-// the return slot is always the final word.
+// FrameWords returns the number of frame dwords CompileWith will use
+// for a function. Callers reserving frame space before compilation use
+// this; the return slot is always the final word.
 func FrameWords(f *ir.Func) (int, error) {
 	lf, err := Lower(f)
 	if err != nil {

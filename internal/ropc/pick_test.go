@@ -59,11 +59,11 @@ func TestPickMatchesUncachedWalk(t *testing.T) {
 	if err := chain.AddPool(obj, 1); err != nil {
 		t.Fatal(err)
 	}
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod := &Env{Catalog: gadget.Scan(img, gadget.ScanConfig{})}
+	mod := &Env{Catalog: gadget.Scan(img)}
 	for env, text := range map[*Env]*image.Section{pool: poolImg.Text(), mod: img.Text()} {
 		mid := text.Addr + text.Size/2
 		env.Prefer = func(g *gadget.Gadget) bool { return g.Addr < mid }

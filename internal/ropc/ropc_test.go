@@ -21,11 +21,11 @@ func poolEnv(t *testing.T) (*Env, *image.Image) {
 	if err := chain.AddPool(obj, 2); err != nil {
 		t.Fatal(err)
 	}
-	img, err := image.Link(obj, image.Layout{})
+	img, err := image.Link(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := gadget.Scan(img, gadget.ScanConfig{})
+	cat := gadget.Scan(img)
 	env := &Env{
 		Catalog:    cat,
 		GlobalAddr: func(string) (uint32, bool) { return 0, false },
@@ -182,7 +182,7 @@ func TestCompileStructure(t *testing.T) {
 	}
 	env.GlobalAddr = fakeGlobals
 
-	ch, err := Compile(m.Func("f"), env, 0x08200000)
+	ch, err := CompileWith(m.Func("f"), env, 0x08200000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestCompileDeterministic(t *testing.T) {
 	env, _ := poolEnv(t)
 	env.GlobalAddr = func(string) (uint32, bool) { return 0x08100000, true }
 	m := sampleModule(t)
-	a, err := Compile(m.Func("f"), env, 0x08200000)
+	a, err := CompileWith(m.Func("f"), env, 0x08200000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compile(m.Func("f"), env, 0x08200000)
+	b, err := CompileWith(m.Func("f"), env, 0x08200000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCompileMissingGadget(t *testing.T) {
 		GlobalAddr: func(string) (uint32, bool) { return 0, false },
 	}
 	m := sampleModule(t)
-	_, err := Compile(m.Func("f"), env, 0x1000)
+	_, err := CompileWith(m.Func("f"), env, 0x1000, Options{})
 	var miss *MissingGadgetError
 	if !errors.As(err, &miss) {
 		t.Fatalf("err = %v, want MissingGadgetError", err)
@@ -260,7 +260,7 @@ func TestCompileSkipsLoadWithIncidentalRead(t *testing.T) {
 		// adc eax,[edx-0x17ba38c0]; mov eax,[ebx]; ret
 		{0x13, 0x82, 0x40, 0xC7, 0x45, 0xE8, 0x8B, 0x03, 0xC3},
 	} {
-		c := &compiler{env: &Env{Catalog: gadget.NewCatalog(gadget.ScanBytes(code, 0x1000, gadget.ScanConfig{}))}}
+		c := &compiler{env: &Env{Catalog: gadget.NewCatalog(gadget.ScanBytes(code, 0x1000))}}
 		g, err := c.pickChecked(Spec{Kind: gadget.KindLoad, Dst: x86.EAX, Src: x86.EBX}, 0)
 		if err != nil {
 			t.Fatalf("% x: %v", code, err)
@@ -275,7 +275,7 @@ func TestMuChainLonger(t *testing.T) {
 	env, _ := poolEnv(t)
 	env.GlobalAddr = func(string) (uint32, bool) { return 0x08100000, true }
 	m := sampleModule(t)
-	fn, err := Compile(m.Func("f"), env, 0x08200000)
+	fn, err := CompileWith(m.Func("f"), env, 0x08200000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestAlternativesShareFootprint(t *testing.T) {
 	env, _ := poolEnv(t)
 	env.GlobalAddr = func(string) (uint32, bool) { return 0x08100000, true }
 	m := sampleModule(t)
-	ch, err := Compile(m.Func("f"), env, 0x08200000)
+	ch, err := CompileWith(m.Func("f"), env, 0x08200000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestChainExecutesStandalone(t *testing.T) {
 		return 0, false
 	}
 	m := sampleModule(t)
-	ch, err := Compile(m.Func("f"), env, frameBase)
+	ch, err := CompileWith(m.Func("f"), env, frameBase, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"parallax/internal/codegen"
 	"parallax/internal/corpus"
-	"parallax/internal/image"
 	"parallax/internal/x86"
 )
 
@@ -17,7 +16,7 @@ import (
 func TestReencodeRealBinaries(t *testing.T) {
 	for _, p := range corpus.All() {
 		t.Run(p.Name, func(t *testing.T) {
-			img, err := codegen.Build(p.Build(), image.Layout{})
+			img, err := codegen.Build(p.Build())
 			if err != nil {
 				t.Fatal(err)
 			}
