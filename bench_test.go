@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -228,7 +229,8 @@ func BenchmarkCampaignEngine(b *testing.B) {
 // BenchmarkGadgetScan measures the full scanner (every byte offset,
 // six-instruction candidates) over two text sections: gcc's, and the
 // protected text of the generated medium module whose cold protect
-// sets protect-batch's round time.
+// sets protect-batch's round time, which must scan to the catalog
+// Protect built for it.
 func BenchmarkGadgetScan(b *testing.B) {
 	bench := func(b *testing.B, text *image.Section) {
 		b.SetBytes(int64(len(text.Data)))
@@ -262,8 +264,57 @@ func BenchmarkGadgetScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bench(b, prot.Image.Text())
+		text := prot.Image.Text()
+		if !reflect.DeepEqual(gadget.ScanBytes(text.Data, text.Addr), prot.Catalog.Gadgets) {
+			b.Fatal("full scan differs from the catalog Protect's incremental rescans built")
+		}
+		bench(b, text)
 	})
+}
+
+// BenchmarkRescan measures the incremental rescan of gen-medium-s1's
+// second fixpoint pass against its first, as core.Protect runs it: the
+// two passes' images are captured through core.Options.ScanFunc, and
+// the rescan must equal a full scan of the second image.
+func BenchmarkRescan(b *testing.B) {
+	fam, err := gen.FamilyByName("medium")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := gen.FamilyProgram(fam, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var passes []*image.Image
+	if _, err := core.Protect(p.Build(), core.Options{
+		VerifyFuncs: []string{p.VerifyFunc},
+		ScanFunc: func(img, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog {
+			passes = append(passes, img.Clone())
+			return gadget.Rescan(img, prevImg, prev)
+		},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if len(passes) < 2 {
+		b.Fatalf("protect ran %d fixpoint passes, want at least 2", len(passes))
+	}
+	pass1, pass2 := passes[0], passes[1]
+	prev := gadget.Scan(pass1)
+	if !reflect.DeepEqual(gadget.Rescan(pass2, pass1, prev), gadget.Scan(pass2)) {
+		b.Fatal("rescan of pass 2 differs from a full scan")
+	}
+	changed := 0
+	for i, c := range pass2.Text().Data {
+		if c != pass1.Text().Data[i] {
+			changed++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gadget.Rescan(pass2, pass1, prev)
+	}
+	b.ReportMetric(float64(changed), "changed-bytes")
 }
 
 // BenchmarkChainCompile measures one chain compile of gen-medium-s1's

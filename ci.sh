@@ -50,6 +50,13 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
+# One iteration of the scanner and compiler benchmarks, whose setup
+# checks their result (a full scan equals the catalog Protect's rescans
+# built, a rescan equals a full scan, a compiled chain equals the one
+# Protect installed), so those checks cannot rot.
+echo "==> benchmark self-checks (one iteration each)"
+go test -run '^$' -bench 'GadgetScan|Rescan|ChainCompile' -benchtime 1x .
+
 # Chaos smoke gate: a seeded fault plan over the wget campaign must
 # degrade gracefully — every faulted cell classifies as an infra
 # error, every untouched cell is byte-identical to the fault-free

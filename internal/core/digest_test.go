@@ -31,8 +31,8 @@ type digestCase struct {
 
 // digestCases spans every baseline path of Protect: the static default
 // (the baseline shares the protected build's compile) at
-// ComposeChecksum 0 and 4, one dynamic-chain job, one chain-checksum
-// job and one static job under a non-default layout.
+// ComposeChecksum 0 and 4, one dynamic-chain job and one
+// chain-checksum job.
 func digestCases(t *testing.T) []digestCase {
 	t.Helper()
 	progs := corpus.All()

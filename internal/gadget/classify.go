@@ -10,6 +10,12 @@ import (
 // kind taxonomy. Anything outside the tracked subset degrades to
 // Unknown, which keeps classification sound: a gadget is only typed
 // when its semantics are fully understood.
+//
+// A sym is never modified once built, so expressions share operands
+// freely, the Init and Unknown syms are package values, and one
+// evaluator serves every candidate of a scan: it builds each
+// candidate's syms in an arena it reuses, because no sym outlives the
+// classification that built it.
 
 type symKind uint8
 
@@ -35,12 +41,29 @@ type sym struct {
 
 var unknownSym = &sym{kind: symUnknown}
 
-func initSym(r x86.Reg) *sym { return &sym{kind: symInit, reg: r} }
-func constSym(c uint32) *sym { return &sym{kind: symConst, c: c} }
-func stackSym(idx int) *sym  { return &sym{kind: symStack, idx: idx} }
-func loadSym(addr *sym) *sym { return &sym{kind: symLoad, a: addr} }
-func binSym(op x86.Op, a, b *sym) *sym {
-	return &sym{kind: symBin, op: op, a: a, b: b}
+// initSyms holds Init(r) for every register.
+var initSyms = func() (s [x86.NumRegs]*sym) {
+	for r := range s {
+		s[r] = &sym{kind: symInit, reg: x86.Reg(r)}
+	}
+	return s
+}()
+
+// newSym places s in the evaluator's arena. A full arena is replaced,
+// not grown, so the syms already handed out stay valid.
+func (e *evaluator) newSym(s sym) *sym {
+	if len(e.arena) == cap(e.arena) {
+		e.arena = make([]sym, 0, max(2*cap(e.arena), 64))
+	}
+	e.arena = append(e.arena, s)
+	return &e.arena[len(e.arena)-1]
+}
+
+func (e *evaluator) constSym(c uint32) *sym { return e.newSym(sym{kind: symConst, c: c}) }
+func (e *evaluator) stackSym(idx int) *sym  { return e.newSym(sym{kind: symStack, idx: idx}) }
+func (e *evaluator) loadSym(addr *sym) *sym { return e.newSym(sym{kind: symLoad, a: addr}) }
+func (e *evaluator) binSym(op x86.Op, a, b *sym) *sym {
+	return e.newSym(sym{kind: symBin, op: op, a: a, b: b})
 }
 
 // isInit reports whether s is the untouched initial value of r.
@@ -52,11 +75,17 @@ type memWrite struct {
 	wide  bool // 32-bit
 }
 
+// stackSlot is a stack dword the gadget itself wrote.
+type stackSlot struct {
+	idx int // as in symStack
+	v   *sym
+}
+
 type evaluator struct {
 	regs   [x86.NumRegs]*sym
 	espOff int  // esp = initial_esp + 4*espOff (when espKnown)
 	espSym *sym // set when esp left the simple offset form
-	slots  map[int]*sym
+	slots  []stackSlot
 
 	writes    []memWrite
 	loads     int
@@ -64,6 +93,8 @@ type evaluator struct {
 	stackBad  bool
 	memReads  bool
 	memWrites bool
+
+	arena []sym // the current candidate's syms
 }
 
 // noteEsp records stack excursions below the entry pointer.
@@ -73,12 +104,30 @@ func (e *evaluator) noteEsp() {
 	}
 }
 
-func newEvaluator() *evaluator {
-	e := &evaluator{slots: make(map[int]*sym)}
-	for r := x86.Reg(0); r < x86.NumRegs; r++ {
-		e.regs[r] = initSym(r)
+// reset readies e for a new candidate, keeping its storage.
+func (e *evaluator) reset() {
+	*e = evaluator{regs: initSyms, slots: e.slots[:0], writes: e.writes[:0], arena: e.arena[:0]}
+}
+
+// push writes v to the stack slot below esp.
+func (e *evaluator) push(v *sym) {
+	e.espOff--
+	e.noteEsp()
+	if s := e.slot(e.espOff); s != nil {
+		s.v = v
+		return
 	}
-	return e
+	e.slots = append(e.slots, stackSlot{e.espOff, v})
+}
+
+// slot returns the written stack slot idx, or nil.
+func (e *evaluator) slot(idx int) *stackSlot {
+	for i := range e.slots {
+		if e.slots[i].idx == idx {
+			return &e.slots[i]
+		}
+	}
+	return nil
 }
 
 // addrSym computes the symbolic effective address of a memory operand.
@@ -94,12 +143,12 @@ func (e *evaluator) addrSym(o x86.Operand) *sym {
 		return unknownSym // scaled indexing degrades to unknown
 	}
 	if s == nil {
-		return constSym(uint32(o.Disp))
+		return e.constSym(uint32(o.Disp))
 	}
 	if o.Disp == 0 {
 		return s
 	}
-	return binSym(x86.ADD, s, constSym(uint32(o.Disp)))
+	return e.binSym(x86.ADD, s, e.constSym(uint32(o.Disp)))
 }
 
 // readOp returns the symbolic value of a 32-bit operand.
@@ -108,7 +157,7 @@ func (e *evaluator) readOp(o x86.Operand) *sym {
 	case x86.KReg:
 		return e.regs[o.Reg]
 	case x86.KImm:
-		return constSym(uint32(o.Imm))
+		return e.constSym(uint32(o.Imm))
 	case x86.KMem:
 		e.loads++
 		a := e.addrSym(o)
@@ -116,7 +165,7 @@ func (e *evaluator) readOp(o x86.Operand) *sym {
 			e.memReads = true
 			return unknownSym
 		}
-		return loadSym(a)
+		return e.loadSym(a)
 	default:
 		return unknownSym
 	}
@@ -155,8 +204,7 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 			if in.Op == x86.LAHF {
 				e.regs[x86.EAX] = unknownSym
 			}
-			if m, isMem := in.MemOperand(); isMem {
-				_ = m
+			if _, isMem := in.MemOperand(); isMem {
 				e.loads++
 				e.memReads = true
 			}
@@ -203,9 +251,7 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 	case x86.NOP, x86.CMP, x86.TEST, x86.CLC, x86.STC, x86.CMC, x86.CLD, x86.STD,
 		x86.PUSHFD:
 		if in.Op == x86.PUSHFD {
-			e.espOff--
-			e.noteEsp()
-			e.slots[e.espOff] = unknownSym
+			e.push(unknownSym)
 		}
 		if _, isMem := in.MemOperand(); isMem {
 			e.loads++
@@ -235,7 +281,7 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 		}
 		a := e.readOp(in.Dst)
 		b := e.readOp(in.Src)
-		v := binSym(op, a, b)
+		v := e.binSym(op, a, b)
 		if in.Op == x86.ADC || in.Op == x86.SBB {
 			v = unknownSym // depends on incoming CF
 		}
@@ -260,7 +306,7 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 				return true
 			}
 			if in.Op == x86.ADD && in.Src.Kind == x86.KReg {
-				e.espSym = binSym(x86.ADD, initSym(x86.ESP), e.regs[in.Src.Reg])
+				e.espSym = e.binSym(x86.ADD, initSyms[x86.ESP], e.regs[in.Src.Reg])
 				return true
 			}
 			e.stackBad = true
@@ -292,19 +338,19 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 
 	case x86.NEG:
 		v := e.readOp(in.Dst)
-		return e.writeOp(in.Dst, &sym{kind: symNeg, a: v})
+		return e.writeOp(in.Dst, e.newSym(sym{kind: symNeg, a: v}))
 
 	case x86.NOT:
 		v := e.readOp(in.Dst)
-		return e.writeOp(in.Dst, &sym{kind: symNot, a: v})
+		return e.writeOp(in.Dst, e.newSym(sym{kind: symNot, a: v}))
 
 	case x86.INC:
 		v := e.readOp(in.Dst)
-		return e.writeOp(in.Dst, binSym(x86.ADD, v, constSym(1)))
+		return e.writeOp(in.Dst, e.binSym(x86.ADD, v, e.constSym(1)))
 
 	case x86.DEC:
 		v := e.readOp(in.Dst)
-		return e.writeOp(in.Dst, binSym(x86.SUB, v, constSym(1)))
+		return e.writeOp(in.Dst, e.binSym(x86.SUB, v, e.constSym(1)))
 
 	case x86.SHL, x86.SAL, x86.SHR, x86.SAR, x86.ROL, x86.ROR, x86.RCL, x86.RCR:
 		v := e.readOp(in.Dst)
@@ -314,19 +360,16 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 		}
 		if op == x86.SHL || op == x86.SHR || op == x86.SAR {
 			if in.Src.Kind == x86.KImm {
-				return e.writeOp(in.Dst, binSym(op, v, constSym(uint32(in.Src.Imm))))
+				return e.writeOp(in.Dst, e.binSym(op, v, e.constSym(uint32(in.Src.Imm))))
 			}
 			if in.Src.IsReg(x86.ECX) {
-				return e.writeOp(in.Dst, binSym(op, v, e.regs[x86.ECX]))
+				return e.writeOp(in.Dst, e.binSym(op, v, e.regs[x86.ECX]))
 			}
 		}
 		return e.writeOp(in.Dst, unknownSym)
 
 	case x86.PUSH:
-		v := e.readOp(in.Dst)
-		e.espOff--
-		e.noteEsp()
-		e.slots[e.espOff] = v
+		e.push(e.readOp(in.Dst))
 		return true
 
 	case x86.POP:
@@ -342,9 +385,7 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 
 	case x86.PUSHAD:
 		for i := 0; i < 8; i++ {
-			e.espOff--
-			e.noteEsp()
-			e.slots[e.espOff] = unknownSym
+			e.push(unknownSym)
 		}
 		return true
 
@@ -379,7 +420,7 @@ func (e *evaluator) step(in *x86.Inst) (ok bool) {
 			in.Src.Kind == x86.KReg {
 			a := e.regs[in.Dst.Reg]
 			b := e.regs[in.Src.Reg]
-			return e.writeOp(in.Dst, binSym(x86.IMUL, a, b))
+			return e.writeOp(in.Dst, e.binSym(x86.IMUL, a, b))
 		}
 		if _, isMem := in.MemOperand(); isMem {
 			e.loads++
@@ -414,15 +455,15 @@ func (e *evaluator) popSlot() (*sym, bool) {
 	}
 	idx := e.espOff
 	e.espOff++
-	if v, written := e.slots[idx]; written {
-		return v, true
+	if s := e.slot(idx); s != nil {
+		return s.v, true
 	}
 	if idx < 0 {
 		// Reading below where the gadget itself pushed but at a slot it
 		// never wrote: value unknowable.
 		return unknownSym, true
 	}
-	return stackSym(idx), true
+	return e.stackSym(idx), true
 }
 
 // writeOp stores a symbolic value into a 32-bit destination.
@@ -456,8 +497,8 @@ func (e *evaluator) writeOp(o x86.Operand, v *sym) bool {
 // as a gadget (control flow, traps). Gadgets the evaluator cannot type
 // get a second chance against the structural patterns (divides, whose
 // paired EAX/EDX results are beyond the single-destination model).
-func classify(g *Gadget) bool {
-	if !classifyEval(g) {
+func (e *evaluator) classify(g *Gadget) bool {
+	if !e.classifyEval(g) {
 		return false
 	}
 	if g.Kind == KindOther {
@@ -501,8 +542,8 @@ func matchStructural(g *Gadget) {
 	}
 }
 
-func classifyEval(g *Gadget) bool {
-	e := newEvaluator()
+func (e *evaluator) classifyEval(g *Gadget) bool {
+	e.reset()
 	for i := 0; i < len(g.Insts)-1; i++ {
 		if !e.step(&g.Insts[i]) {
 			return false
@@ -541,7 +582,7 @@ func classifyEval(g *Gadget) bool {
 			return true
 		}
 	}
-	if _, written := e.slots[e.espOff]; written {
+	if e.slot(e.espOff) != nil {
 		// The gadget wrote the slot its own return will pop: control
 		// goes to a gadget-controlled value, not the next chain word.
 		e.stackBad = true
@@ -579,7 +620,8 @@ func classifyEval(g *Gadget) bool {
 		reg x86.Reg
 		s   *sym
 	}
-	var changes []change
+	var buf [x86.NumRegs]change
+	changes := buf[:0]
 	for r := x86.Reg(0); r < x86.NumRegs; r++ {
 		if r == x86.ESP {
 			continue

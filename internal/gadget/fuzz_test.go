@@ -44,6 +44,20 @@ func FuzzScanNaive(f *testing.F) {
 func FuzzRescan(f *testing.F) {
 	f.Add([]byte{0x58, 0xC3, 0x01, 0xD8, 0xC3}, []byte{0, 0, 0xB8})
 	f.Add([]byte{0xB8, 0x58, 0xC3, 0x00, 0x00, 0xC3, 0x5B, 0xC3}, []byte{5, 0, 0x90, 0, 0, 0x0F})
+	// Edits at the re-sweep's restart and resync bounds (see
+	// boundPlant): 13 to 16 bytes after the 15-byte instruction's
+	// start, inside it, at the undecodable daa, and two runs 14 bytes
+	// apart.
+	plant := append(append([]byte(nil), boundPlant...), 0x58, 0xC3, 0x01, 0xD8, 0xC3, 0x5B, 0xC3, 0x31, 0xC0, 0xC3, 0x59, 0xC3, 0x90, 0x90, 0x90, 0x90, 0xC3)
+	for k := byte(13); k <= 16; k++ {
+		// mov r32,r/m32: its ModRM and displacement push the
+		// instruction at boundLong past 15 bytes.
+		f.Add(plant, []byte{boundLong + k, 0, 0x8B})
+	}
+	f.Add(plant, []byte{boundLong + 14, 0, 0x3E})
+	f.Add(plant, []byte{boundLong + 13, 0, 0xC3})
+	f.Add(plant, []byte{boundDaa, 0, 0x81})
+	f.Add(plant, []byte{boundDaa, 0, 0x81, boundDaa + 1, 0, 0x05, boundDaa + 16, 0, 0x90, boundDaa + 17, 0, 0x66})
 	f.Fuzz(func(t *testing.T, code, edits []byte) {
 		if len(code) == 0 {
 			return

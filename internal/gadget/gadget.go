@@ -199,6 +199,10 @@ func (g *Gadget) Range() (uint32, uint32) { return g.Addr, g.Addr + uint32(g.Len
 type Catalog struct {
 	Gadgets []*Gadget
 	byKind  map[Kind][]*Gadget
+	// sweeps holds, for a catalog Scan or Rescan built, each executable
+	// section's linear-sweep instruction starts, which a later Rescan
+	// re-sweeps only where bytes changed.
+	sweeps []sweep
 }
 
 // NewCatalog indexes a gadget list.

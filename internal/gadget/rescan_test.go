@@ -1,6 +1,7 @@
 package gadget
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,6 +31,25 @@ var maxLenGadget = []byte{
 	0xB8, 0x11, 0x11, 0x11, 0x11, 0xB8, 0x11, 0x11, 0x11, 0x11,
 	0xC1, 0xE8, 0x05, 0xC3,
 }
+
+// boundPlant is planted before edits at the re-sweep's bounds. Its 16
+// nops put the next offset on an instruction start whatever precedes
+// them. An undecodable daa follows, whose next ten bytes decode as short
+// instructions but become the tail of an 11-byte add when the daa is
+// changed to 0x81. The plant ends in a 15-byte instruction, fourteen ds
+// prefixes and pop eax, on an instruction start at boundLong.
+var boundPlant = []byte{
+	0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90,
+	0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90, 0x90,
+	0x27, 0x84, 0x00, 0x11, 0x11, 0x11, 0x11, 0x22, 0x22, 0x22, 0x22,
+	0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x3E, 0x58,
+}
+
+// Offsets in boundPlant: the daa and the 15-byte instruction.
+const (
+	boundDaa  = 16
+	boundLong = 27
+)
 
 // execImage wraps code as an executable section at addr, next to a
 // data section the scanner must ignore.
@@ -133,6 +153,34 @@ func TestRescanMatchesScan(t *testing.T) {
 			for k := 0; k < 3; k++ {
 				c[r.Intn(min(n, 64))] = []byte{0xB8, 0x0F, 0x90, 0x66}[r.Intn(4)]
 			}
+		})
+
+		// Edits that start or stop a re-sweep exactly at its bounds.
+		// The instruction at a start s reads at most 15 bytes, so an
+		// edit at s+14 must re-decode s and one at s+15 need not.
+		bcode := gadgetRichCode(r, n)
+		at := r.Intn(n - len(boundPlant) - 17)
+		copy(bcode[at:], boundPlant)
+		bImg := execImage(addr, bcode)
+		bPrev := Scan(bImg)
+		long, daa := at+boundLong, at+boundDaa
+		bedit := func(name string, f func(c []byte)) {
+			c := append([]byte(nil), bcode...)
+			f(c)
+			checkRescan(t, name, execImage(addr, c), bImg, bPrev)
+		}
+		for k := 13; k <= 16; k++ {
+			bedit(fmt.Sprintf("start+%d", k), func(c []byte) { c[long+k] = byte(r.Intn(256)) })
+		}
+		// A 15th prefix where pop eax was: the decode at long fails.
+		bedit("long-too-long", func(c []byte) { c[long+14] = 0x3E })
+		// A ret inside the prefixes: the instruction at long shortens.
+		bedit("long-shorter", func(c []byte) { c[long+13] = 0xC3 })
+		bedit("undecodable-to-long", func(c []byte) { c[daa] = 0x81 })
+		// Two changed runs 14 bytes apart: no resync between them.
+		bedit("runs-14-apart", func(c []byte) {
+			c[daa], c[daa+1] = 0x81, 0x05
+			c[daa+16], c[daa+17] = 0x90, 0x66
 		})
 
 		// A section whose shape changed is scanned in full.

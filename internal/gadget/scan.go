@@ -1,6 +1,8 @@
 package gadget
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"parallax/internal/image"
@@ -22,37 +24,36 @@ const (
 // offset, decode forward; a sequence of at most maxInsts instructions
 // ending in ret/retf is a candidate, which the classifier then types.
 func ScanBytes(code []byte, base uint32) []*Gadget {
-	return scanSection(code, base, nil, nil)
+	gs, _ := scanSection(code, base, nil, nil, nil)
+	return gs
 }
 
 // scanSection scans code (loaded at base) given prevCode, the same
-// section's bytes at an earlier scan, and prev, the gadgets that scan
-// found, sorted by address. A gadget at offset off is a pure function
-// of base, code[off:off+maxBytes] and len(code), so only the offsets
-// within maxBytes before a changed byte are scanned again; every other
-// gadget of prev is reused as is. A nil prevCode (a full scan) makes
-// every offset dirty. Each dirty span is scanned through a reach
-// table that decodes every offset once (see reachTable). The Aligned
-// bits come from a fresh linear sweep, which on a full scan reads its
-// instruction lengths from that table; a reused gadget whose bit flips
+// section's bytes at an earlier scan, and that scan's result: starts,
+// its linear-sweep instruction starts, and prev, its gadgets sorted by
+// address. It returns the gadgets and the instruction starts of code.
+// A gadget at offset off is a pure function of base,
+// code[off:off+maxBytes] and len(code), so only the offsets within
+// maxBytes before a changed byte are scanned again; every other gadget
+// of prev is reused as is. A nil prevCode (a full scan) makes every
+// offset dirty. Each dirty span is scanned through a reach table that
+// decodes every offset once (see reachTable). The starts come from the
+// full scan's reach table or from a re-sweep of starts around the
+// changed bytes (see resweep); a reused gadget whose Aligned bit flips
 // is cloned rather than mutated.
-func scanSection(code []byte, base uint32, prevCode []byte, prev []*Gadget) []*Gadget {
-	var aligned []bool
+func scanSection(code []byte, base uint32, prevCode []byte, starts bitset, prev []*Gadget) ([]*Gadget, bitset) {
+	spans := []span{{0, len(code)}}
 	if prevCode != nil {
-		aligned = alignedStarts(len(code), func(off int) int {
-			inst, err := x86.Decode(code[off:], base+uint32(off))
-			if err != nil {
-				return 0
-			}
-			return inst.Len
-		})
+		diffs := changedBytes(code, prevCode)
+		starts = resweep(code, base, starts, diffs)
+		spans = dirtySpans(diffs)
 	}
 	out := make([]*Gadget, 0, len(prev))
 	// keep reuses the gadgets of prev below offset end.
 	keep := func(end int) {
 		for ; len(prev) > 0 && int(prev[0].Addr-base) < end; prev = prev[1:] {
 			g := prev[0]
-			if a := aligned[g.Addr-base]; a != g.Aligned {
+			if a := starts.has(int(g.Addr - base)); a != g.Aligned {
 				c := *g
 				c.Aligned = a
 				g = &c
@@ -60,38 +61,97 @@ func scanSection(code []byte, base uint32, prevCode []byte, prev []*Gadget) []*G
 			out = append(out, g)
 		}
 	}
-	for _, d := range dirtySpans(code, prevCode) {
+	var s scanner
+	for _, d := range spans {
 		keep(d.lo)
 		for len(prev) > 0 && int(prev[0].Addr-base) < d.hi {
 			prev = prev[1:] // stale: rescanned below
 		}
 		t := newReachTable(code, base, d)
-		if aligned == nil {
+		if prevCode == nil {
 			// A full scan: the one span's table covers the section.
-			aligned = alignedStarts(len(code), t.instLen)
+			starts = alignedStarts(t.lens)
 		}
-		for off := d.lo; off < d.hi; off++ {
-			if g := t.gadget(code, base, off); g != nil {
-				g.Aligned = aligned[off]
-				out = append(out, g)
-			}
-		}
+		out = s.appendSpan(out, code, base, t, d, starts)
 	}
 	keep(len(code))
-	return out
+	return out, starts
 }
 
-// alignedStarts marks the instruction starts of a linear sweep over n
-// bytes, so gadgets can report whether they hide inside the
-// instruction stream. instLen gives the length of the instruction
-// decoded at an offset, or 0 where decoding fails; the sweep steps one
-// byte past a failure.
-func alignedStarts(n int, instLen func(off int) int) []bool {
-	aligned := make([]bool, n)
-	for off := 0; off < n; off += max(instLen(off), 1) {
-		aligned[off] = true
+// alignedStarts marks the instruction starts of a linear sweep, so
+// gadgets can report whether they hide inside the instruction stream.
+// lens gives the length of the instruction decoded at each offset, or
+// 0 where decoding fails; the sweep steps one byte past a failure.
+func alignedStarts(lens []uint8) bitset {
+	starts := newBitset(len(lens))
+	for off := 0; off < len(lens); off += max(int(lens[off]), 1) {
+		starts.set(off)
 	}
-	return aligned
+	return starts
+}
+
+// resweep returns the linear sweep's instruction starts over code,
+// given old, the starts over prev, which has code's length, and diffs,
+// the sorted offsets at which code and prev differ. The instruction at
+// a start s, its length or its decode failure, depends only on
+// code[s:s+x86.MaxInstLen] (and the section's length), so the two
+// sweeps take the same steps until the first old start at or after
+// i-(MaxInstLen-1) for a changed byte i: the re-sweep restarts there.
+// It resynchronizes at the first start of both sweeps whose next
+// MaxInstLen bytes are unchanged, past which the sweeps agree up to
+// the next restart. Only the re-swept instructions are decoded.
+func resweep(code []byte, base uint32, old bitset, diffs []int) bitset {
+	starts := slices.Clone(old)
+	n := len(code)
+	// p is a start of the new sweep, whose starts below p are final.
+	for p, d := 0, 0; p < n; {
+		for d < len(diffs) && diffs[d] < p {
+			d++
+		}
+		if old.has(p) && (d == len(diffs) || diffs[d] >= p+x86.MaxInstLen) {
+			if d == len(diffs) {
+				break
+			}
+			p = old.next(diffs[d] - (x86.MaxInstLen - 1))
+			continue
+		}
+		l := 1
+		if inst, ok := x86.TryDecode(code[p:], base+uint32(p)); ok {
+			l = inst.Len
+		}
+		starts.set(p)
+		for q := p + 1; q < min(p+l, n); q++ {
+			starts.clear(q)
+		}
+		p += l
+	}
+	return starts
+}
+
+// bitset is a set of section offsets.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+
+// next returns the first member at or after i, or a value past every
+// member when there is none.
+func (b bitset) next(i int) int {
+	w := i >> 6
+	if w >= len(b) {
+		return len(b) * 64
+	}
+	if x := b[w] >> (i & 63); x != 0 {
+		return i + bits.TrailingZeros64(x)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w*64 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return len(b) * 64
 }
 
 // reachTable decodes each offset of one dirty span once. A gadget
@@ -119,8 +179,8 @@ func newReachTable(code []byte, base uint32, d span) *reachTable {
 	t := &reachTable{lo: d.lo, lens: make([]uint8, end-d.lo), reach: make([]reach, end-d.lo)}
 	for p := end - 1; p >= d.lo; p-- {
 		i := p - d.lo
-		inst, err := x86.Decode(code[p:], base+uint32(p))
-		if err != nil {
+		inst, ok := x86.TryDecode(code[p:], base+uint32(p))
+		if !ok {
 			continue
 		}
 		t.lens[i] = uint8(inst.Len)
@@ -143,46 +203,76 @@ func newReachTable(code []byte, base uint32, d span) *reachTable {
 	return t
 }
 
-// instLen returns the length of the instruction at offset off, or 0
-// where decoding fails.
-func (t *reachTable) instLen(off int) int { return int(t.lens[off-t.lo]) }
+// scanner classifies the candidates of one section's dirty spans with
+// one evaluator, decoding each candidate into its own buffer.
+type scanner struct {
+	ev  evaluator
+	buf [maxInsts]x86.Inst
+}
 
-// gadget returns the classified gadget starting at offset off, or nil.
-// Only an offset whose walk reaches a return decodes again, into a
-// slice of exactly its instruction count.
-func (t *reachTable) gadget(code []byte, base uint32, off int) *Gadget {
-	r := t.reach[off-t.lo]
-	if r.n == 0 {
-		return nil
+// appendSpan appends to out the classified gadgets starting in span d,
+// which t covers, with their Aligned bits from starts. Only an offset
+// whose walk reaches a return decodes again. A gadget that classifies
+// is copied into slabs of Gadget and x86.Inst sized for every such
+// candidate of the span, so the span costs two allocations however
+// many gadgets it holds, and any gadget of the span keeps both alive.
+func (s *scanner) appendSpan(out []*Gadget, code []byte, base uint32, t *reachTable, d span, starts bitset) []*Gadget {
+	reach := t.reach[:d.hi-d.lo]
+	nCand, nInsts := 0, 0
+	for _, r := range reach {
+		if r.n != 0 {
+			nCand++
+			nInsts += int(r.n)
+		}
 	}
-	g := &Gadget{Addr: base + uint32(off), Len: int(r.b), Insts: make([]x86.Inst, r.n)}
-	for k, pos := 0, off; k < len(g.Insts); k++ {
-		// The table decoded every offset of this walk without error.
-		g.Insts[k], _ = x86.Decode(code[pos:], base+uint32(pos))
-		pos += g.Insts[k].Len
+	out = slices.Grow(out, nCand)
+	gs := make([]Gadget, 0, nCand)
+	insts := make([]x86.Inst, 0, nInsts)
+	for i, r := range reach {
+		if r.n == 0 {
+			continue
+		}
+		off := d.lo + i
+		g := Gadget{Addr: base + uint32(off), Len: int(r.b), Insts: s.buf[:r.n]}
+		for k, pos := 0, off; k < len(g.Insts); k++ {
+			// The table decoded every offset of this walk without error.
+			g.Insts[k], _ = x86.TryDecode(code[pos:], base+uint32(pos))
+			pos += g.Insts[k].Len
+		}
+		if !s.ev.classify(&g) {
+			continue
+		}
+		g.Aligned = starts.has(off)
+		k := len(insts)
+		insts = append(insts, g.Insts...)
+		g.Insts = insts[k:len(insts):len(insts)]
+		gs = append(gs, g)
+		out = append(out, &gs[len(gs)-1])
 	}
-	if !classify(g) {
-		return nil
-	}
-	return g
+	return out
 }
 
 // span is a half-open offset range [lo, hi).
 type span struct{ lo, hi int }
 
-// dirtySpans returns the sorted, disjoint offset ranges whose gadgets
-// may differ between prev and code, which have the same length: the
-// window (i-maxBytes, i] around every byte i that differs. A nil prev
-// makes the whole of code dirty.
-func dirtySpans(code, prev []byte) []span {
-	if prev == nil {
-		return []span{{0, len(code)}}
-	}
-	var out []span
+// changedBytes returns the sorted offsets at which code and prev,
+// which have the same length, differ.
+func changedBytes(code, prev []byte) []int {
+	var out []int
 	for i := range code {
-		if code[i] == prev[i] {
-			continue
+		if code[i] != prev[i] {
+			out = append(out, i)
 		}
+	}
+	return out
+}
+
+// dirtySpans returns the sorted, disjoint offset ranges whose gadgets
+// may differ, given the sorted changed offsets: the window
+// (i-maxBytes, i] around every changed byte i.
+func dirtySpans(diffs []int) []span {
+	var out []span
+	for _, i := range diffs {
 		lo := max(i-maxBytes+1, 0)
 		if n := len(out); n > 0 && out[n-1].hi >= lo {
 			out[n-1].hi = i + 1
@@ -211,20 +301,44 @@ func Rescan(img, prevImg *image.Image, prev *Catalog) *Catalog {
 		prevImg = nil
 	}
 	var all []*Gadget
+	var sweeps []sweep
 	for _, s := range img.Sections {
 		if s.Perm&image.PermX == 0 {
 			continue
 		}
 		var prevCode []byte
+		var prevStarts bitset
 		var prevGadgets []*Gadget
 		if ps := execSection(prevImg, s.Addr, len(s.Data)); ps != nil {
-			prevCode, prevGadgets = ps.Data, prev.within(s.Addr, s.Addr+uint32(len(s.Data)))
+			if st, ok := prev.starts(s.Addr); ok {
+				prevCode, prevStarts = ps.Data, st
+				prevGadgets = prev.within(s.Addr, s.Addr+uint32(len(s.Data)))
+			}
 		}
-		all = append(all, scanSection(s.Data, s.Addr, prevCode, prevGadgets)...)
+		gs, starts := scanSection(s.Data, s.Addr, prevCode, prevStarts, prevGadgets)
+		all = append(all, gs...)
+		sweeps = append(sweeps, sweep{s.Addr, starts})
 	}
 	c := NewCatalog(all)
+	c.sweeps = sweeps
 	c.Sort()
 	return c
+}
+
+// sweep is one executable section's linear-sweep instruction starts.
+type sweep struct {
+	addr   uint32
+	starts bitset
+}
+
+// starts returns the instruction starts of the scanned section at addr.
+func (c *Catalog) starts(addr uint32) (bitset, bool) {
+	for _, s := range c.sweeps {
+		if s.addr == addr {
+			return s.starts, true
+		}
+	}
+	return nil, false
 }
 
 // execSection returns img's executable section at addr with n bytes

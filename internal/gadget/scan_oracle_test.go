@@ -56,7 +56,7 @@ func scanAt(code []byte, base uint32, off int) *Gadget {
 				Len:   pos - off,
 				Insts: insts,
 			}
-			if !classify(g) {
+			if !new(evaluator).classify(g) {
 				return nil
 			}
 			return g

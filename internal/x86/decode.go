@@ -31,8 +31,15 @@ func (e *UnsupportedError) Error() string {
 	return fmt.Sprintf("x86: unsupported opcode %s%02x at 0x%x", prefix, e.Opcode, e.Position)
 }
 
-// maxInstLen is the architectural x86 instruction length limit.
-const maxInstLen = 15
+// MaxInstLen is the architectural x86 instruction length limit. A
+// decode's outcome, its length or its failure, depends on no byte past
+// the first MaxInstLen.
+const MaxInstLen = 15
+
+// errUnsupported is the decoder's internal failure for an opcode
+// outside the subset. It carries nothing: the decoder records the
+// opcode, and only Decode builds the *UnsupportedError.
+var errUnsupported = errors.New("x86: unsupported opcode")
 
 type decoder struct {
 	b    []byte
@@ -42,6 +49,10 @@ type decoder struct {
 	opsize16 bool
 	rep      bool
 	repne    bool
+
+	// The opcode of an errUnsupported failure.
+	badOp      byte
+	badTwoByte bool
 }
 
 // Decode decodes a single instruction from the start of b. addr is the
@@ -49,6 +60,24 @@ type decoder struct {
 // branch targets. The decoded instruction's Len gives the byte length.
 func Decode(b []byte, addr uint32) (Inst, error) {
 	d := decoder{b: b, addr: addr}
+	inst, err := d.run()
+	if err == errUnsupported {
+		return Inst{}, &UnsupportedError{Opcode: d.badOp, TwoByte: d.badTwoByte, Position: addr}
+	}
+	return inst, err
+}
+
+// TryDecode is Decode for callers that only need to know whether the
+// bytes decode, such as the gadget scanner at every byte offset: it
+// reports failure without building an error.
+func TryDecode(b []byte, addr uint32) (Inst, bool) {
+	d := decoder{b: b, addr: addr}
+	inst, err := d.run()
+	return inst, err == nil
+}
+
+// run decodes one instruction and sets its length.
+func (d *decoder) run() (Inst, error) {
 	inst, err := d.decode()
 	if err != nil {
 		return Inst{}, err
@@ -61,7 +90,7 @@ func (d *decoder) u8() (byte, error) {
 	if d.pos >= len(d.b) {
 		return 0, ErrTruncated
 	}
-	if d.pos >= maxInstLen {
+	if d.pos >= MaxInstLen {
 		return 0, ErrTooLong
 	}
 	v := d.b[d.pos]
@@ -119,7 +148,8 @@ func (d *decoder) width() uint8 {
 }
 
 func (d *decoder) unsupported(op byte, twoByte bool) error {
-	return &UnsupportedError{Opcode: op, TwoByte: twoByte, Position: d.addr}
+	d.badOp, d.badTwoByte = op, twoByte
+	return errUnsupported
 }
 
 // modrm reads a ModRM byte and returns its fields.
@@ -222,7 +252,7 @@ func (d *decoder) decode() (Inst, error) {
 			goto prefixesDone
 		}
 		d.pos++
-		if d.pos > maxInstLen {
+		if d.pos > MaxInstLen {
 			return Inst{}, ErrTooLong
 		}
 	}

@@ -158,14 +158,23 @@ func TestDecodeErrors(t *testing.T) {
 	}
 
 	t.Run("unsupported", func(t *testing.T) {
-		for _, b := range [][]byte{
-			{0x27},       // daa
-			{0x0F, 0x05}, // syscall
-			{0xD8, 0xC0}, // x87
-			{0x67, 0x8B, 0x00},
+		for _, tt := range []struct {
+			b    []byte
+			want UnsupportedError
+		}{
+			{[]byte{0x27}, UnsupportedError{Opcode: 0x27, Position: 0x1000}},                      // daa
+			{[]byte{0x0F, 0x05}, UnsupportedError{Opcode: 0x05, TwoByte: true, Position: 0x1000}}, // syscall
+			{[]byte{0xD8, 0xC0}, UnsupportedError{Opcode: 0xD8, Position: 0x1000}},                // x87
+			{[]byte{0x66, 0x67, 0x8B, 0x00}, UnsupportedError{Opcode: 0x67, Position: 0x1000}},
+			{[]byte{0xFF, 0xF8}, UnsupportedError{Opcode: 0xFF, Position: 0x1000}}, // group 5 /7
 		} {
-			if _, err := Decode(b, 0); err == nil {
-				t.Errorf("Decode(% x) succeeded, want error", b)
+			_, err := Decode(tt.b, 0x1000)
+			var ue *UnsupportedError
+			if !errors.As(err, &ue) || *ue != tt.want {
+				t.Errorf("Decode(% x) error = %v, want %v", tt.b, err, &tt.want)
+			}
+			if _, ok := TryDecode(tt.b, 0x1000); ok {
+				t.Errorf("TryDecode(% x) succeeded, want failure", tt.b)
 			}
 		}
 	})
@@ -187,7 +196,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte, addr uint32) bool {
 		inst, err := Decode(b, addr)
-		if err == nil && (inst.Len <= 0 || inst.Len > maxInstLen || inst.Len > len(b)) {
+		if err == nil && (inst.Len <= 0 || inst.Len > MaxInstLen || inst.Len > len(b)) {
 			t.Logf("bad length %d for % x", inst.Len, b)
 			return false
 		}

@@ -8,7 +8,8 @@ import (
 // FuzzDecode drives the decoder with arbitrary bytes; it must never
 // panic, never report a non-positive length, and every successful
 // decode must re-encode (the gadget scanner runs this code on every
-// byte offset of every binary).
+// byte offset of every binary). The scanner's error-free entry,
+// TryDecode, must agree with Decode on every input.
 //
 // For instructions inside the emitted subset — those Encode accepts —
 // AppendEncode onto the fuzz input must equal the input followed by
@@ -24,6 +25,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0x66, 0x81, 0xC3, 0x34, 0x12}, uint32(4096))
 	f.Fuzz(func(t *testing.T, b []byte, addr uint32) {
 		inst, err := Decode(b, addr)
+		if tried, ok := TryDecode(b, addr); ok != (err == nil) || tried != inst {
+			t.Fatalf("TryDecode(% x) = %v, %v; Decode = %v, %v", b, tried, ok, inst, err)
+		}
 		if err != nil {
 			return
 		}
