@@ -156,9 +156,10 @@ func BenchmarkProtect(b *testing.B) {
 //
 //	go test -bench FarmThroughput -cpu 1,4,8
 //
-// The first iteration runs on a cold cache; later iterations hit the
-// content-addressed scan cache and layout hints (steady-state numbers,
-// which is what a long-running protection service sees). Reported
+// The first iteration runs on a cold cache; later iterations repeat
+// its fixpoint passes and serve every scan from the content-addressed
+// scan cache (steady-state numbers, which is what a long-running
+// protection service sees). Reported
 // metrics: jobs/sec and the cumulative scan-cache hit percentage.
 func BenchmarkFarmThroughput(b *testing.B) {
 	jobs := experiment.FarmMatrix(nil)

@@ -75,9 +75,8 @@ go test -run '^$' -bench 'GadgetScan|Rescan|ChainCompile' -benchtime 1x .
 # rescanned catalogs share *Gadget values across passes and, through
 # the farm's cache, across jobs. It also pins what one compile per
 # protect job shares: the fixpoint passes' shallow copies of one base
-# object and the baseline linked from it (TestProtectDigestGolden), and
-# the farm's binary job key over every IR field and output-affecting
-# option (TestWriteKey*, TestJobKey*). It also holds the encode-once
+# object and the baseline linked from it (TestProtectDigestGolden).
+# It also holds the encode-once
 # linker to the earlier two-pass linker (TestLinkMatchesTwoPass) and
 # x86.AppendEncode to Encode (TestAppendEncode): every fixpoint pass,
 # the farm's concurrent jobs included, links through them.
@@ -85,8 +84,8 @@ echo "==> chaos smoke: seeded fault injection + checkpoint resume"
 go test -run 'TestChaosCampaignGraceful|TestCheckpoint' ./internal/campaign
 echo "==> chaos smoke (-race)"
 go test -race ./internal/chaos
-go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestPickMatchesUncachedWalk|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical|TestProtectDigestGolden|TestWriteKey|TestJobKey|TestLinkMatchesTwoPass|TestAppendEncode' \
-    ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen ./internal/core ./internal/ir ./internal/image ./internal/x86
+go test -race -run 'TestChaos|TestCheckpoint|TestTightDeadline|TestFarmReconciliation|TestClassifyLoadWithIncidentalRead|TestCompileSkipsLoadWithIncidentalRead|TestPickMatchesUncachedWalk|TestGenProtectedMatchesBaseline|TestRescanMatchesScan|TestProtectIncrementalScanIdentical|TestProtectDigestGolden|TestLinkMatchesTwoPass|TestAppendEncode' \
+    ./internal/campaign ./internal/farm ./internal/emu/tb ./internal/gadget ./internal/ropc ./internal/corpus/gen ./internal/core ./internal/image ./internal/x86
 
 # Campaign-engine hard gate: run the same enumerated wget campaign on
 # the campaign's two execution paths — the reference path (interpreter,

@@ -269,7 +269,7 @@ func wurster() error {
 
 	// Checksumming baseline.
 	m := licenseModule()
-	cs, err := checksum.Protect(m, checksum.Options{})
+	cs, err := checksum.Protect(m)
 	if err != nil {
 		return err
 	}
@@ -417,8 +417,8 @@ func ohExperiment() error {
 
 // farmExperiment measures the internal/farm batch-protection service:
 // the 6-program × 4-mode matrix protected on one farm per worker
-// count, cold (empty cache) and warm (content-addressed scan cache +
-// layout hints populated by the cold round). Wall-clock numbers —
+// count, cold (empty cache) and warm (content-addressed scan cache
+// populated by the cold round). Wall-clock numbers —
 // host-dependent, unlike the cycle-model experiments above.
 func farmExperiment(workers string) error {
 	header("farm — concurrent batch protection (jobs/sec, cache hit rate)")
@@ -441,7 +441,7 @@ func farmExperiment(workers string) error {
 			r.Workers, r.Jobs, r.ColdSeconds, r.ColdJobsPerSec,
 			r.WarmSeconds, r.WarmJobsPerSec, r.WarmSpeedup, 100*r.WarmHitRate)
 	}
-	fmt.Println("\nwarm round: layout hints give one-pass convergence, so every gadget")
+	fmt.Println("\nwarm round: every job repeats its cold fixpoint passes, so every gadget")
 	fmt.Println("scan is served from the content-addressed cache (scans run = 0);")
 	fmt.Println("outputs stay byte-identical to sequential core.Protect (tested).")
 	fmt.Printf("host parallelism: GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
@@ -968,15 +968,11 @@ func fanoutExperiment(jobs, unique int, workers string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %6s %6s %10s %10s %9s %11s %10s\n",
-		"workers", "done", "failed", "scan-hit", "hint-hit", "seconds", "jobs/s", "output")
+	fmt.Printf("%-8s %6s %6s %10s %9s %11s %10s\n",
+		"workers", "done", "failed", "scan-hit", "seconds", "jobs/s", "output")
 	for _, r := range rep.Rounds {
-		hintRate := 0.0
-		if t := r.HintHits + r.HintMisses; t > 0 {
-			hintRate = float64(r.HintHits) / float64(t)
-		}
-		fmt.Printf("%-8d %6d %6d %9.1f%% %9.1f%% %9.3f %11.1f %10s\n",
-			r.Workers, r.Completed, r.Failed, 100*r.ScanHitRate, 100*hintRate,
+		fmt.Printf("%-8d %6d %6d %9.1f%% %9.3f %11.1f %10s\n",
+			r.Workers, r.Completed, r.Failed, 100*r.ScanHitRate,
 			r.Seconds, r.JobsPerSecond, r.OutputFP)
 		if r.Failed != 0 {
 			return fmt.Errorf("fanout: %d jobs failed at workers=%d", r.Failed, r.Workers)

@@ -99,8 +99,8 @@ func cmdBatch(args []string) error {
 				jobs = append(jobs, j)
 			}
 		}
-		fmt.Printf("%-14s %-8s %10s %10s %6s %6s %5s  %s\n",
-			"job", "status", "queue", "run", "scans", "hits", "hint", "detail")
+		fmt.Printf("%-14s %-8s %10s %10s %6s %6s  %s\n",
+			"job", "status", "queue", "run", "scans", "hits", "detail")
 		for _, j := range jobs {
 			res, err := j.Wait(ctx)
 			if err != nil {
@@ -117,15 +117,11 @@ func cmdBatch(args []string) error {
 				}
 				detail = "-> " + path
 			}
-			hint := "cold"
-			if res.HintUsed {
-				hint = "warm"
-			}
-			fmt.Printf("%-14s %-8s %10s %10s %6d %6d %5s  %s\n",
+			fmt.Printf("%-14s %-8s %10s %10s %6d %6d  %s\n",
 				res.Name, status,
 				res.QueueWait.Round(time.Microsecond),
 				res.Runtime.Round(time.Microsecond),
-				res.ScanHits+res.ScanMisses, res.ScanHits, hint, detail)
+				res.ScanHits+res.ScanMisses, res.ScanHits, detail)
 		}
 		st := f.Stats()
 		fmt.Printf("round %d stats: %s\n\n", round, st.Delta(prev))

@@ -151,14 +151,11 @@ func metricsFlags(fs *flag.FlagSet, usage string, def metricsFormat) func() (boo
 }
 
 // writeMetrics snapshots the registry, attaches the derived cache
-// hit-rates, and prints it to stdout in the given format.
+// hit-rate, and prints it to stdout in the given format.
 func writeMetrics(reg *obs.Registry, format metricsFormat) error {
 	rep := reg.Snapshot()
 	if hits, misses := rep.Counters["farm.scan_cache_hits"], rep.Counters["farm.scan_cache_misses"]; hits+misses > 0 {
 		rep.Derive("farm.scan_cache.hit_rate", float64(hits)/float64(hits+misses))
-	}
-	if hits, misses := rep.Counters["farm.hint_cache_hits"], rep.Counters["farm.hint_cache_misses"]; hits+misses > 0 {
-		rep.Derive("farm.hint_cache.hit_rate", float64(hits)/float64(hits+misses))
 	}
 	if format == metricsTable {
 		fmt.Print(rep)

@@ -69,7 +69,7 @@ func main() {
 	crack := []byte{0xB8, 0x01, 0x00, 0x00, 0x00, 0xC3} // mov eax,1; ret
 
 	fmt.Println("== victim protected by a cross-verifying checksum network ==")
-	cs, err := checksum.Protect(buildTarget(), checksum.Options{})
+	cs, err := checksum.Protect(buildTarget())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,20 +29,15 @@ const (
 	fnvBasisI32 int32 = -2128831035
 )
 
-// Options configures the checksum network.
-type Options struct {
-	// Checkers is the network size: the text is split into this many
-	// regions, each verified by its own checker; the checkers' own
-	// code falls inside regions covered by other checkers
-	// (cross-verification). Values below 1 mean 3.
-	Checkers int
-}
+// checkers is the network size: the text is split into this many
+// regions, each verified by its own checker; the checkers' own code
+// falls inside regions covered by other checkers (cross-verification).
+const checkers = 3
 
 // Protected is a checksum-protected build.
 type Protected struct {
 	Image    *image.Image
 	Baseline *image.Image
-	Checkers int
 	// Regions records [lo, hi) per checker for analysis.
 	Regions [][2]uint32
 }
@@ -56,10 +51,7 @@ func checkerName(i int) string {
 
 // Protect builds a module with a startup checksum network over its
 // text section.
-func Protect(m *ir.Module, opts Options) (*Protected, error) {
-	if opts.Checkers < 1 {
-		opts.Checkers = 3
-	}
+func Protect(m *ir.Module) (*Protected, error) {
 	baseline, err := codegen.Build(m)
 	if err != nil {
 		return nil, err
@@ -70,7 +62,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	if entry == "" {
 		entry = work.Funcs[0].Name
 	}
-	for i := 0; i < opts.Checkers; i++ {
+	for i := 0; i < checkers; i++ {
 		work.Globals = append(work.Globals,
 			&ir.Global{Name: loSym(i), Init: make([]byte, 4)},
 			&ir.Global{Name: hiSym(i), Init: make([]byte, 4)},
@@ -78,7 +70,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		)
 		work.Funcs = append(work.Funcs, buildChecker(i))
 	}
-	work.Funcs = append(work.Funcs, buildStart(entry, opts.Checkers))
+	work.Funcs = append(work.Funcs, buildStart(entry, checkers))
 	work.Entry = "..cs.start"
 	if err := ir.Validate(work); err != nil {
 		return nil, err
@@ -93,9 +85,9 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	// hashes. The expected values live in .data, so writing them does
 	// not perturb what is being hashed.
 	text := img.Text()
-	p := &Protected{Image: img, Baseline: baseline, Checkers: opts.Checkers}
-	chunk := (int(text.Size) + opts.Checkers - 1) / opts.Checkers
-	for i := 0; i < opts.Checkers; i++ {
+	p := &Protected{Image: img, Baseline: baseline}
+	chunk := (int(text.Size) + checkers - 1) / checkers
+	for i := 0; i < checkers; i++ {
 		lo := text.Addr + uint32(i*chunk)
 		hi := lo + uint32(chunk)
 		if hi > text.End() {

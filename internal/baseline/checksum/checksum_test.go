@@ -42,7 +42,7 @@ func licenseModule(t *testing.T) *ir.Module {
 
 func TestChecksumCleanRun(t *testing.T) {
 	m := licenseModule(t)
-	p, err := Protect(m, Options{})
+	p, err := Protect(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestChecksumCleanRun(t *testing.T) {
 
 func TestChecksumDetectsStaticPatch(t *testing.T) {
 	m := licenseModule(t)
-	p, err := Protect(m, Options{})
+	p, err := Protect(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestChecksumDetectsStaticPatch(t *testing.T) {
 
 func TestChecksumCrossVerification(t *testing.T) {
 	m := licenseModule(t)
-	p, err := Protect(m, Options{Checkers: 4})
+	p, err := Protect(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestChecksumCrossVerification(t *testing.T) {
 // still sees pristine bytes — the cracked binary runs as if untouched.
 func TestWursterDefeatsChecksumming(t *testing.T) {
 	m := licenseModule(t)
-	p, err := Protect(m, Options{})
+	p, err := Protect(m)
 	if err != nil {
 		t.Fatal(err)
 	}

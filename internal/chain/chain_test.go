@@ -9,10 +9,10 @@ import (
 	"parallax/internal/x86"
 )
 
-func poolCatalog(t *testing.T, copies int) *gadget.Catalog {
+func poolCatalog(t *testing.T) *gadget.Catalog {
 	t.Helper()
 	obj := &image.Object{}
-	if err := AddPool(obj, copies); err != nil {
+	if err := AddPool(obj); err != nil {
 		t.Fatal(err)
 	}
 	img, err := image.Link(obj)
@@ -25,7 +25,7 @@ func poolCatalog(t *testing.T, copies int) *gadget.Catalog {
 // TestPoolProvidesCanonicalBasis verifies the fallback pool contains a
 // usable gadget for every spec the ROP compiler can request.
 func TestPoolProvidesCanonicalBasis(t *testing.T) {
-	cat := poolCatalog(t, 1)
+	cat := poolCatalog(t)
 	any := x86.Reg(x86.NumRegs)
 	required := []struct {
 		kind     gadget.Kind
@@ -65,24 +65,12 @@ func TestPoolProvidesCanonicalBasis(t *testing.T) {
 	}
 }
 
-// TestPoolReplicationWidensClasses checks a doubled pool doubles the
-// interchangeable-gadget classes probabilistic generation draws from.
-func TestPoolReplicationWidensClasses(t *testing.T) {
-	one := poolCatalog(t, 1)
-	two := poolCatalog(t, 2)
-	popsOne := len(one.Find(gadget.KindPopReg, x86.EAX, x86.NumRegs))
-	popsTwo := len(two.Find(gadget.KindPopReg, x86.EAX, x86.NumRegs))
-	if popsTwo < 2*popsOne {
-		t.Errorf("replication did not widen: %d -> %d", popsOne, popsTwo)
-	}
-}
-
 func TestAddPoolRejectsDuplicate(t *testing.T) {
 	obj := &image.Object{}
-	if err := AddPool(obj, 1); err != nil {
+	if err := AddPool(obj); err != nil {
 		t.Fatal(err)
 	}
-	if err := AddPool(obj, 1); err == nil {
+	if err := AddPool(obj); err == nil {
 		t.Error("second AddPool succeeded")
 	}
 }

@@ -12,9 +12,8 @@ import (
 // end with a near ret — the invariant that makes every pool entry a
 // scannable gadget.
 func TestPoolBytesBoundaries(t *testing.T) {
-	const copies = 2
 	obj := &image.Object{}
-	if err := AddPool(obj, copies); err != nil {
+	if err := AddPool(obj); err != nil {
 		t.Fatal(err)
 	}
 	img, err := image.Link(obj)
@@ -33,7 +32,7 @@ func TestPoolBytesBoundaries(t *testing.T) {
 		t.Fatalf("pool does not open with a guard ret: % x", raw[:4])
 	}
 	off := 1
-	for c := 0; c < copies; c++ {
+	for c := 0; c < poolCopies; c++ {
 		for i, g := range poolGadgets {
 			end := off + len(g)
 			if end > len(raw) {

@@ -72,18 +72,17 @@ var poolGadgets = [][]byte{
 	{0x5C, 0xC3},       // pop esp      (epilogue)
 }
 
-// Pool returns the fallback gadget pool as a linkable function. The
-// copies parameter replicates the whole basis (at distinct addresses),
-// widening each equivalence class for probabilistic generation; values
-// below 1 mean 1.
-func Pool(copies int) *image.Func {
-	if copies < 1 {
-		copies = 1
-	}
+// poolCopies is the number of times the pool replicates the whole
+// basis (at distinct addresses): two copies widen each equivalence
+// class so probabilistic generation has room to vary.
+const poolCopies = 2
+
+// Pool returns the fallback gadget pool as a linkable function.
+func Pool() *image.Func {
 	f := &image.Func{Name: PoolFuncName, Align: 4}
 	// A leading ret guards against stray fall-through into the pool.
 	f.Items = append(f.Items, image.RawItem(0xC3))
-	for c := 0; c < copies; c++ {
+	for c := 0; c < poolCopies; c++ {
 		for _, g := range poolGadgets {
 			f.Items = append(f.Items, image.RawItem(g...))
 		}
@@ -93,9 +92,9 @@ func Pool(copies int) *image.Func {
 
 // AddPool appends the fallback pool to an object, failing on duplicate
 // insertion.
-func AddPool(obj *image.Object, copies int) error {
+func AddPool(obj *image.Object) error {
 	if obj.Func(PoolFuncName) != nil {
 		return fmt.Errorf("chain: object already has a gadget pool")
 	}
-	return obj.AddFunc(Pool(copies))
+	return obj.AddFunc(Pool())
 }

@@ -78,12 +78,6 @@ type Options struct {
 	// unmodified after the call. Nil means gadget.Rescan. The returned
 	// catalog must not be mutated by the scanner afterwards.
 	ScanFunc func(img, prevImg *image.Image, prev *gadget.Catalog) *gadget.Catalog
-	// Hints seeds the link→scan→compile fixpoint with the converged
-	// sizes of a previous run. Correctness never depends on them: the
-	// fixpoint still verifies convergence, so wrong hints only cost
-	// extra passes. Hints from a converged run of the *same* module
-	// and options let the pipeline converge in a single pass.
-	Hints *Hints
 
 	// Obs, when non-nil, records span timings for the pipeline stages
 	// (codegen, rewrite, layout, scan, chain-compile, install) into the
@@ -91,48 +85,6 @@ type Options struct {
 	// per stage. Nil disables all instrumentation; it never affects the
 	// output image.
 	Obs *obs.Registry
-}
-
-// Normalized returns opts with fields whose distinct values ask for
-// the same output collapsed to one value: ProbVariants becomes
-// dyngen.DefaultVariants when it is below 2 or the chain mode is not
-// ModeProb (only the probabilistic tables read it); Seed becomes 0
-// under static chains (only the dynamic modes read it); and Workload
-// becomes nil without AutoSelect (only the profile run reads it).
-// Protect runs on normalized options, and a cache keyed by options
-// should hash them normalized, so that equivalent jobs share a key.
-func (opts Options) Normalized() Options {
-	if opts.ProbVariants < 2 || opts.ChainMode != dyngen.ModeProb {
-		opts.ProbVariants = dyngen.DefaultVariants
-	}
-	if opts.ChainMode == dyngen.ModeStatic {
-		opts.Seed = 0
-	}
-	if !opts.AutoSelect {
-		opts.Workload = nil
-	}
-	return opts
-}
-
-// Hints captures the converged fixpoint sizes of a Protect run: chain
-// byte lengths, exit-pointer indices and dynamic-generation table
-// sizes per verification function. Feeding them back into a later run
-// of the same module and options (Options.Hints) skips the size
-// discovery passes; the result is byte-identical because the final
-// image is a pure function of the converged sizes.
-type Hints struct {
-	ChainLens map[string]int
-	ExitIdxs  map[string]int
-	OffsLens  map[string]int
-	IdxLens   map[string]int
-}
-
-func copyHintMap(src map[string]int, n int) map[string]int {
-	dst := make(map[string]int, n)
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }
 
 // Protected is the result of a Protect run.
@@ -163,9 +115,6 @@ type Protected struct {
 	OverlapGadgets int
 	// TotalGadgetSlots counts all gadget words across chains.
 	TotalGadgetSlots int
-	// Hints are the converged fixpoint sizes of this run; feed them to
-	// Options.Hints of an identical run to converge in one pass.
-	Hints Hints
 	// Checksum reports the composed §VI-C checker network's coverage
 	// (Options.ComposeChecksum); nil when composition was off.
 	Checksum *checksum.NetworkStats
@@ -176,7 +125,6 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	if err := ir.Validate(m); err != nil {
 		return nil, err
 	}
-	opts = opts.Normalized()
 
 	verify := append([]string(nil), opts.VerifyFuncs...)
 	if opts.AutoSelect {
@@ -291,12 +239,6 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	exitIdxs := make(map[string]int, len(verify))
 	offsLens := make(map[string]int, len(verify))
 	idxLens := make(map[string]int, len(verify))
-	if h := opts.Hints; h != nil {
-		chainLens = copyHintMap(h.ChainLens, len(verify))
-		exitIdxs = copyHintMap(h.ExitIdxs, len(verify))
-		offsLens = copyHintMap(h.OffsLens, len(verify))
-		idxLens = copyHintMap(h.IdxLens, len(verify))
-	}
 	scan := opts.ScanFunc
 	if scan == nil {
 		scan = gadget.Rescan
@@ -394,10 +336,6 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		RewriteSites: rewriteSites,
 		Mode:         opts.ChainMode,
 		Tables:       tables,
-		Hints: Hints{
-			ChainLens: chainLens, ExitIdxs: exitIdxs,
-			OffsLens: offsLens, IdxLens: idxLens,
-		},
 	}
 	isOverlap := preferOverlap(img, verify)
 	for _, ch := range chains {
@@ -521,10 +459,6 @@ func rewriteImmediates(obj *image.Object, m *ir.Module, verify []string, opts Op
 	return 0, nil // nothing to split is not a failure
 }
 
-// poolCopies is the number of fallback gadget pool copies: two give
-// probabilistic generation room to vary.
-const poolCopies = 2
-
 // buildProtectedObject swaps verification functions for loader stubs,
 // adds the gadget pool and chain/frame data to a copy of the compiled
 // and rewritten base object, and links. The copy is shallow: the pass
@@ -540,7 +474,7 @@ func buildProtectedObject(base *image.Object, m *ir.Module, verify []string, fra
 		Data:  slices.Clone(base.Data),
 		Entry: base.Entry,
 	}
-	if err := chain.AddPool(obj, poolCopies); err != nil {
+	if err := chain.AddPool(obj); err != nil {
 		return nil, err
 	}
 	for _, fn := range verify {

@@ -159,32 +159,28 @@ func (c *CPU) SetOverlay(addr uint32, b []byte) {
 	c.Mem.notifyCodeInvalidate(addr, addr+uint32(len(b)))
 }
 
-// maxInstLen is the architectural x86 instruction length limit, and
-// therefore the fetch window size.
-const maxInstLen = 15
-
-// fetchWindowAt returns up to 15 instruction bytes at addr as seen by
-// the fetch unit (overlay first, then memory). Bytes are stitched
-// across contiguous executable segments, so an instruction straddling
-// a segment boundary decodes from its full encoding. missing is the
-// first address past the stitched bytes — the fault address when the
-// window proves too short to hold the instruction. eip attributes any
-// fault.
+// fetchWindowAt returns up to x86.MaxInstLen instruction bytes at addr
+// as seen by the fetch unit (overlay first, then memory). Bytes are
+// stitched across contiguous executable segments, so an instruction
+// straddling a segment boundary decodes from its full encoding.
+// missing is the first address past the stitched bytes — the fault
+// address when the window proves too short to hold the instruction.
+// eip attributes any fault.
 func (c *CPU) fetchWindowAt(addr, eip uint32) (window []byte, missing uint32, err error) {
 	// Permission check on the first byte classifies the common faults
 	// (unmapped EIP, jump into non-executable data).
 	if _, err := c.Mem.check(addr, 1, AccessFetch, eip); err != nil {
 		return nil, addr, err
 	}
-	window = make([]byte, 0, maxInstLen)
+	window = make([]byte, 0, x86.MaxInstLen)
 	a := addr
-	for len(window) < maxInstLen {
+	for len(window) < x86.MaxInstLen {
 		seg := c.Mem.Segment(a)
 		if seg == nil || seg.Perm&image.PermX == 0 {
 			break
 		}
 		off := a - seg.Addr
-		n := uint32(maxInstLen - len(window))
+		n := uint32(x86.MaxInstLen - len(window))
 		if off+n > uint32(len(seg.Data)) {
 			n = uint32(len(seg.Data)) - off
 		}
@@ -226,7 +222,7 @@ func (c *CPU) decodeAt(addr uint32) (x86.Inst, error) {
 	}
 	inst, err := x86.Decode(window, addr)
 	if err != nil {
-		if errors.Is(err, x86.ErrTruncated) && len(window) < maxInstLen {
+		if errors.Is(err, x86.ErrTruncated) && len(window) < x86.MaxInstLen {
 			// The instruction ran off the end of mapped executable
 			// memory: that is a fetch fault at the first absent byte,
 			// not a decode error in the bytes we do have.

@@ -67,8 +67,6 @@ type FanoutRound struct {
 	ScanHits    uint64  `json:"scan_hits"`
 	ScanMisses  uint64  `json:"scan_misses"`
 	ScanHitRate float64 `json:"scan_hit_rate"`
-	HintHits    uint64  `json:"hint_hits"`
-	HintMisses  uint64  `json:"hint_misses"`
 
 	// Seconds is host wall clock (context, not a determinism claim);
 	// JobsPerSecond is derived from it.
@@ -196,8 +194,6 @@ func FarmFanout(ctx context.Context, opts FanoutOptions) (*FanoutReport, error) 
 		round.ScanHits = stats.ScanHits
 		round.ScanMisses = stats.ScanMisses
 		round.ScanHitRate = stats.ScanHitRate()
-		round.HintHits = stats.HintHits
-		round.HintMisses = stats.HintMisses
 		if round.ScanHitRate < out.MinScanHitRate {
 			out.MinScanHitRate = round.ScanHitRate
 		}

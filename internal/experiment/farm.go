@@ -46,7 +46,7 @@ func FarmMatrix(modes []dyngen.Mode) []FarmJob {
 
 // FarmThroughputRow is one worker-count measurement of the farm
 // experiment: the full matrix protected twice on one farm — a cold
-// round (empty cache) and a warm round (hints + memoized scans).
+// round (empty cache) and a warm round (memoized scans).
 type FarmThroughputRow struct {
 	Workers int
 	Jobs    int
@@ -63,7 +63,6 @@ type FarmThroughputRow struct {
 	// Warm-round cache behaviour.
 	WarmHitRate  float64 // scan-cache hit fraction in [0,1]
 	WarmScansRun uint64  // scans actually executed in the warm round
-	WarmHintHits uint64
 	ColdScansRun uint64
 	ColdScanTime time.Duration
 	WarmScanTime time.Duration
@@ -105,7 +104,6 @@ func FarmThroughput(workerCounts []int, modes []dyngen.Mode) ([]FarmThroughputRo
 			WarmJobsPerSec: float64(len(jobs)) / warmDur.Seconds(),
 			WarmHitRate:    warm.ScanHitRate(),
 			WarmScansRun:   warm.ScanMisses,
-			WarmHintHits:   warm.HintHits,
 			ColdScansRun:   cold.ScanMisses,
 			ColdScanTime:   cold.ScanTime,
 			WarmScanTime:   warm.ScanTime,

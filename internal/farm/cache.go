@@ -8,34 +8,26 @@ import (
 	"time"
 
 	"parallax/internal/chaos"
-	"parallax/internal/core"
 	"parallax/internal/gadget"
 	"parallax/internal/image"
-	"parallax/internal/ir"
 )
 
 // key is a content address: a SHA-256 over the exact inputs of a
 // cached stage.
 type key [sha256.Size]byte
 
-// stageCache memoizes the two expensive, pure pipeline stages across
-// a farm's jobs:
+// stageCache memoizes the expensive, pure pipeline stage across a
+// farm's jobs: gadget scan + classification, keyed by the executable
+// section bytes (addresses included). Protecting the same text twice —
+// a resubmitted job, or fixpoint passes that reproduce an earlier
+// layout — pays for the scan once. A miss is computed by gadget.Rescan
+// against the job's previous fixpoint pass, so a later pass whose text
+// differs in a few bytes decodes only the offsets those bytes can
+// reach.
 //
-//   - gadget scan + classification, keyed by the executable section
-//     bytes (addresses included). Protecting the same text twice — a
-//     resubmitted job, or fixpoint passes that reproduce an earlier
-//     layout — pays for the scan once. A miss is computed by
-//     gadget.Rescan against the job's previous fixpoint pass, so a
-//     later pass whose text differs in a few bytes decodes only the
-//     offsets those bytes can reach.
-//   - converged fixpoint layout sizes (core.Hints), keyed by the full
-//     job content (module + options). A hint hit lets an
-//     identical job converge in a single link→scan→compile pass, which
-//     in turn makes its one scan a guaranteed cache hit.
-//
-// Both stages are pure functions of their key, so sharing results
-// cannot change output bytes. Cached catalogs are shared read-only
-// between jobs; nothing in the pipeline mutates a catalog after Scan.
+// A scan is a pure function of its key, so sharing results cannot
+// change output bytes. Cached catalogs are shared read-only between
+// jobs; nothing in the pipeline mutates a catalog after Scan.
 //
 // A stageCache is safe for concurrent use. Concurrent lookups of the
 // same not-yet-computed scan are deduplicated: one caller computes,
@@ -43,7 +35,6 @@ type key [sha256.Size]byte
 type stageCache struct {
 	mu    sync.Mutex
 	scans map[key]*scanEntry
-	hints map[key]*core.Hints
 }
 
 type scanEntry struct {
@@ -52,10 +43,7 @@ type scanEntry struct {
 }
 
 func newStageCache() *stageCache {
-	return &stageCache{
-		scans: make(map[key]*scanEntry),
-		hints: make(map[key]*core.Hints),
-	}
+	return &stageCache{scans: make(map[key]*scanEntry)}
 }
 
 // scanner returns a core.Options.ScanFunc that serves scans from the
@@ -105,21 +93,6 @@ func (c *stageCache) scanner(m *farmMetrics, jobHits, jobMisses *uint64, inj *ch
 	}
 }
 
-// lookupHints returns cached converged layout sizes for a job key.
-func (c *stageCache) lookupHints(k key) (*core.Hints, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.hints[k]
-	return h, ok
-}
-
-// storeHints records the converged layout sizes of a finished job.
-func (c *stageCache) storeHints(k key, h core.Hints) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hints[k] = &h
-}
-
 // scanKey addresses a gadget scan: every executable section's name,
 // load address and exact bytes. Matches the section walk in
 // gadget.Scan.
@@ -133,31 +106,6 @@ func scanKey(img *image.Image) key {
 		h.Write(s.Data)
 		h.Write([]byte{'\n'})
 	}
-	var k key
-	h.Sum(k[:0])
-	return k
-}
-
-// jobKey addresses a whole protection job: the module content and
-// every Options field that influences the output image, normalized as
-// core.Protect normalizes them so that equivalent options (Seed 0 and
-// 7 under static chains, say) share a key and its layout hints.
-// ScanFunc, Hints and Obs are deliberately excluded — accelerators and
-// observers never change output bytes, so they must not fragment the
-// cache. The module
-// is hashed in ir's binary key encoding; the key lives only in memory,
-// so its bytes may change between versions.
-func jobKey(m *ir.Module, opts core.Options) key {
-	opts = opts.Normalized()
-	h := sha256.New()
-	m.WriteKey(h) // a hash never fails a write
-	fmt.Fprintf(h, "opts:verify=%q auto=%t norewrite=%t\n",
-		opts.VerifyFuncs, opts.AutoSelect, opts.DisableRewriting)
-	fmt.Fprintf(h, "opts:mode=%d mu=%t cschk=%t compose=%d probN=%d seed=%d\n",
-		opts.ChainMode, opts.MuChains, opts.ChecksumChains,
-		opts.ComposeChecksum, opts.ProbVariants, opts.Seed)
-	fmt.Fprintf(h, "opts:workload=%d:", len(opts.Workload))
-	h.Write(opts.Workload)
 	var k key
 	h.Sum(k[:0])
 	return k

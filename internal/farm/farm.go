@@ -1,16 +1,13 @@
 // Package farm is the concurrent batch-protection service: it runs
 // many core.Protect jobs over a bounded worker pool and memoizes the
-// expensive pure stages (gadget scan + classification, fixpoint layout
-// sizes) in a content-addressed cache shared by all jobs.
+// expensive pure stage (gadget scan + classification) in a
+// content-addressed cache shared by all jobs.
 //
 // The acceptance bar is determinism: a job's output image is
 // byte-identical to a sequential core.Protect of the same module and
 // options, regardless of worker count, submission order, or cache
-// state. That holds because every cached stage is a pure function of
-// its content key — a catalog is keyed by the exact executable bytes
-// it was scanned from, and layout hints are keyed by the full job
-// content and merely let the (still verified) fixpoint converge in one
-// pass.
+// state. That holds because a cached catalog is a pure function of
+// its content key: the exact executable bytes it was scanned from.
 //
 // Cancellation is cooperative at job granularity: a cancelled context
 // fails jobs still in the queue promptly, but a job already inside
@@ -171,8 +168,6 @@ type Result struct {
 	// ScanHits/ScanMisses count this job's gadget-scan cache lookups.
 	ScanHits   uint64
 	ScanMisses uint64
-	// HintUsed reports whether cached fixpoint sizes seeded this job.
-	HintUsed bool
 }
 
 // Wait blocks until the job finishes or ctx expires. The error return
@@ -314,24 +309,13 @@ func (f *Farm) protect(j *Job) (prot *core.Protected, err error) {
 		panic(cerr)
 	}
 	opts := j.opts
-	k := jobKey(j.module, opts)
 	if opts.ScanFunc == nil {
 		opts.ScanFunc = f.cache.scanner(&f.om, &j.res.ScanHits, &j.res.ScanMisses, f.chaos)
-	}
-	if opts.Hints == nil {
-		if h, ok := f.cache.lookupHints(k); ok {
-			opts.Hints = h
-			j.res.HintUsed = true
-			f.om.hintHits.Inc()
-		} else {
-			f.om.hintMisses.Inc()
-		}
 	}
 	prot, err = core.Protect(j.module, opts)
 	if err != nil {
 		return nil, fmt.Errorf("farm: job %q: %w", j.Name, err)
 	}
-	f.cache.storeHints(k, prot.Hints)
 	return prot, nil
 }
 

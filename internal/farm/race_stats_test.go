@@ -87,11 +87,11 @@ func TestStatsSnapshotDuringJobs(t *testing.T) {
 
 // TestFarmReconciliation holds the farm's registry to the per-job
 // results it handed out. At quiescence every submitted job is counted
-// exactly once as completed, failed or cancelled; the scan and hint
-// counters equal the sums of the per-job tallies; and every job that
-// reached the pipeline recorded exactly one runtime observation. The
-// first run mixes cancelled-while-queued jobs with chaos cache-read
-// recomputes, the second injects worker panics.
+// exactly once as completed, failed or cancelled; the scan counters
+// equal the sums of the per-job tallies; and every job that reached the
+// pipeline recorded exactly one runtime observation. The first run
+// mixes cancelled-while-queued jobs with chaos cache-read recomputes,
+// the second injects worker panics.
 func TestFarmReconciliation(t *testing.T) {
 	progs := []string{"gzip", "wget", "gzip", "nginx", "wget", "gzip"}
 	run := func(t *testing.T, plan chaos.Plan, cancelQueued int) {
@@ -144,14 +144,11 @@ func TestFarmReconciliation(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 
-		var want struct{ completed, failed, cancelled, panics, hits, misses, hinted uint64 }
+		var want struct{ completed, failed, cancelled, panics, hits, misses uint64 }
 		for _, j := range jobs {
 			res := waitResult(t, j)
 			want.hits += res.ScanHits
 			want.misses += res.ScanMisses
-			if res.HintUsed {
-				want.hinted++
-			}
 			var pe *PanicError
 			switch {
 			case res.Err == nil:
@@ -183,7 +180,6 @@ func TestFarmReconciliation(t *testing.T) {
 			{"farm.panics", c["farm.panics"], want.panics},
 			{"farm.scan_cache_hits", c["farm.scan_cache_hits"], want.hits},
 			{"farm.scan_cache_misses", c["farm.scan_cache_misses"], want.misses},
-			{"farm.hint_cache_hits", c["farm.hint_cache_hits"], want.hinted},
 			{"farm.job_runtime_ns count", rep.Histograms["farm.job_runtime_ns"].Count, want.completed + want.failed},
 		} {
 			if m.got != m.want {

@@ -20,8 +20,6 @@ type farmMetrics struct {
 	scanHits   *obs.Counter
 	scanMisses *obs.Counter
 	scanNs     *obs.Counter
-	hintHits   *obs.Counter
-	hintMisses *obs.Counter
 
 	queueDepth *obs.Gauge
 
@@ -40,8 +38,6 @@ func newFarmMetrics(r *obs.Registry) farmMetrics {
 		scanHits:     r.Counter("farm.scan_cache_hits"),
 		scanMisses:   r.Counter("farm.scan_cache_misses"),
 		scanNs:       r.Counter("farm.scan_ns"),
-		hintHits:     r.Counter("farm.hint_cache_hits"),
-		hintMisses:   r.Counter("farm.hint_cache_misses"),
 		queueDepth:   r.Gauge("farm.queue_depth"),
 		queueWaitNs:  r.Histogram("farm.queue_wait_ns"),
 		jobRuntimeNs: r.Histogram("farm.job_runtime_ns"),
@@ -63,10 +59,6 @@ type Stats struct {
 	// lookups; a miss is a scan actually run.
 	ScanHits   uint64
 	ScanMisses uint64
-	// HintHits/HintMisses count fixpoint layout-hint cache lookups; a
-	// hit lets core.Protect converge in a single pass.
-	HintHits   uint64
-	HintMisses uint64
 
 	// QueueDepth is the number of jobs accepted but not yet running.
 	QueueDepth int
@@ -94,8 +86,6 @@ func (f *Farm) Stats() Stats {
 		Panics:        m.panics.Value(),
 		ScanHits:      m.scanHits.Value(),
 		ScanMisses:    m.scanMisses.Value(),
-		HintHits:      m.hintHits.Value(),
-		HintMisses:    m.hintMisses.Value(),
 		QueueDepth:    int(m.queueDepth.Value()),
 		QueueWait:     time.Duration(m.queueWaitNs.Sum()),
 		ScanTime:      time.Duration(m.scanNs.Value()),
@@ -117,12 +107,11 @@ func (s Stats) ScanHitRate() float64 {
 func (s Stats) String() string {
 	return fmt.Sprintf(
 		"jobs: %d submitted, %d completed, %d failed, %d cancelled (%d panics), queue %d | "+
-			"scan cache: %d hits / %d misses (%.1f%%), hints: %d/%d | "+
+			"scan cache: %d hits / %d misses (%.1f%%) | "+
 			"time: queue %v, scan %v, protect %v",
 		s.JobsSubmitted, s.JobsCompleted, s.JobsFailed, s.JobsCancelled, s.Panics,
 		s.QueueDepth,
 		s.ScanHits, s.ScanMisses, 100*s.ScanHitRate(),
-		s.HintHits, s.HintHits+s.HintMisses,
 		s.QueueWait.Round(time.Microsecond), s.ScanTime.Round(time.Microsecond),
 		s.ProtectTime.Round(time.Microsecond))
 }
@@ -138,8 +127,6 @@ func (s Stats) Delta(earlier Stats) Stats {
 		Panics:        s.Panics - earlier.Panics,
 		ScanHits:      s.ScanHits - earlier.ScanHits,
 		ScanMisses:    s.ScanMisses - earlier.ScanMisses,
-		HintHits:      s.HintHits - earlier.HintHits,
-		HintMisses:    s.HintMisses - earlier.HintMisses,
 		QueueDepth:    s.QueueDepth,
 		QueueWait:     s.QueueWait - earlier.QueueWait,
 		ScanTime:      s.ScanTime - earlier.ScanTime,

@@ -141,8 +141,10 @@ func Measure(img *image.Image) (*Report, error) {
 		covers[i] = make([]bool, len(code))
 		reaches[i] = make([]bool, len(code))
 	}
+	// A gadget's final pre-ret instruction begins at most one
+	// instruction length before the return.
 	markReach := func(rule Rule, retOff int) {
-		lo := retOff - (maxInstLenReach - 1)
+		lo := retOff - (x86.MaxInstLen - 1)
 		if lo < 0 {
 			lo = 0
 		}
@@ -222,11 +224,6 @@ func Measure(img *image.Image) (*Report, error) {
 	return rep, nil
 }
 
-// maxInstLenReach is the architectural instruction length limit: a
-// gadget's final pre-ret instruction can begin at most this many bytes
-// before the return.
-const maxInstLenReach = 15
-
 // isImmModCandidate reports whether the §IV-B2 rule applies: an
 // add/adc/sub/sbb/mov instruction with an immediate operand that
 // instruction splitting can compensate.
@@ -277,7 +274,7 @@ func hypoWindow(code []byte, pos, size int) (work []byte, base int) {
 	if lo < 0 {
 		lo = 0
 	}
-	hi := pos + size + maxInstLenReach
+	hi := pos + size + x86.MaxInstLen
 	if hi > len(code) {
 		hi = len(code)
 	}

@@ -56,7 +56,7 @@ func TestPickMatchesUncachedWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chain.AddPool(obj, 1); err != nil {
+	if err := chain.AddPool(obj); err != nil {
 		t.Fatal(err)
 	}
 	img, err := image.Link(obj)

@@ -18,7 +18,7 @@ import (
 func poolEnv(t *testing.T) (*Env, *image.Image) {
 	t.Helper()
 	obj := &image.Object{}
-	if err := chain.AddPool(obj, 2); err != nil {
+	if err := chain.AddPool(obj); err != nil {
 		t.Fatal(err)
 	}
 	img, err := image.Link(obj)
