@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -419,4 +420,76 @@ func optionFields(pkg, dir string, f *ast.File) []optionField {
 		}
 	}
 	return out
+}
+
+// prefixOwners maps each prefix of the symbol names the toolchain adds
+// to the file declaring its owner: image.Internal, chain.Owns and
+// checksum.Owns.
+var prefixOwners = map[string]string{
+	"..":          "internal/image/image.go",
+	"..parallax.": "internal/chain/loader.go",
+	"..cs.":       "internal/baseline/checksum/checksum.go",
+}
+
+// prefixFuncs are the strings functions that compare their second
+// argument against the start of their first.
+var prefixFuncs = map[string]bool{"HasPrefix": true, "CutPrefix": true, "TrimPrefix": true}
+
+// TestSymbolPrefixHasOneOwner is the gate for the symbol-prefix rule:
+// a non-test file that compares a string against a literal starting
+// with ".." — with ==, !=, strings.HasPrefix, strings.CutPrefix or
+// strings.TrimPrefix — fails unless it is the declaring file of the
+// owner of the longest prefixOwners prefix the literal starts with.
+// Every other file asks that owner. Building a name by concatenation
+// or Sprintf is no comparison and stays allowed. A table entry naming
+// no source file fails too, so the table cannot go stale.
+func TestSymbolPrefixHasOneOwner(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]bool{}
+	for _, src := range parseSources(t, fset) {
+		file := filepath.ToSlash(fset.Position(src.f.Package).Filename)
+		files[file] = true
+		ast.Inspect(src.f, func(n ast.Node) bool {
+			var operands []ast.Expr
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					operands = []ast.Expr{n.X, n.Y}
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if ok && len(n.Args) == 2 && prefixFuncs[sel.Sel.Name] {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "strings" {
+						operands = n.Args[1:]
+					}
+				}
+			}
+			for _, e := range operands {
+				lit, ok := e.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					continue
+				}
+				s, err := strconv.Unquote(lit.Value)
+				if err != nil || !strings.HasPrefix(s, "..") {
+					continue
+				}
+				prefix := ""
+				for p := range prefixOwners {
+					if strings.HasPrefix(s, p) && len(p) > len(prefix) {
+						prefix = p
+					}
+				}
+				if file != prefixOwners[prefix] {
+					t.Errorf("%s: compares a name against %q; ask the %q owner in %s",
+						fset.Position(lit.Pos()), s, prefix, prefixOwners[prefix])
+				}
+			}
+			return true
+		})
+	}
+	for p, file := range prefixOwners {
+		if !files[file] {
+			t.Errorf("prefixOwners: the %q owner's file %s is not a source file", p, file)
+		}
+	}
 }

@@ -776,7 +776,7 @@ func corpusExperiment(n int) error {
 	if !full {
 		engineFams = []string{"small"}
 	}
-	engRows, err := experiment.CorpusEngines(context.Background(), engineFams, 1, 0, 0)
+	engRows, err := experiment.CorpusEngines(context.Background(), engineFams, 0, 0)
 	if err != nil {
 		return err
 	}

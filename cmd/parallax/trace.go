@@ -147,22 +147,6 @@ func cmdTrace(args []string) error {
 // the protection's chain gadgets: the executing verification chain as
 // a sequence of gadget entries.
 func gadgetRetFilter(prot *core.Protected) func(obs.Event) bool {
-	type span struct{ lo, hi uint32 }
-	var spans []span
-	for _, fn := range prot.VerifyFuncs {
-		for _, g := range prot.Chains[fn].Gadgets() {
-			spans = append(spans, span{g.Addr, g.Addr + uint32(g.Len)})
-		}
-	}
-	return func(e obs.Event) bool {
-		if e.Kind != obs.EventRet {
-			return false
-		}
-		for _, s := range spans {
-			if e.To >= s.lo && e.To < s.hi {
-				return true
-			}
-		}
-		return false
-	}
+	gadgets := prot.ChainGadgets()
+	return func(e obs.Event) bool { return e.Kind == obs.EventRet && gadgets.Contains(e.To) }
 }

@@ -12,6 +12,7 @@ package checksum
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"parallax/internal/codegen"
 	"parallax/internal/image"
@@ -41,6 +42,10 @@ type Protected struct {
 	// Regions records [lo, hi) per checker for analysis.
 	Regions [][2]uint32
 }
+
+// Owns reports whether name is one of the functions and tables either
+// checker network adds, all named "..cs.*".
+func Owns(name string) bool { return strings.HasPrefix(name, "..cs.") }
 
 func loSym(i int) string   { return fmt.Sprintf("..cs.lo%d", i) }
 func hiSym(i int) string   { return fmt.Sprintf("..cs.hi%d", i) }

@@ -96,37 +96,21 @@ func InjectNetwork(m *ir.Module, n Network) error {
 	return ir.Validate(m)
 }
 
-// ColdRegions returns the maximal runs of text bytes not covered by
-// guard, longest first (ties by address), dropping runs shorter than
-// minLen. guard is the campaign-style guarded-byte map: chain gadget
-// spans and serialized chain data.
-func ColdRegions(img *image.Image, guard map[uint32]bool, minLen int) [][2]uint32 {
-	if minLen < 1 {
-		minLen = 1
-	}
+// ColdRegions returns the maximal runs of text bytes outside guard,
+// longest first (ties by address), dropping runs shorter than minLen.
+// guard is the protection's guard set (core.Protected.Guard): chain
+// gadget spans and serialized chain data.
+func ColdRegions(img *image.Image, guard image.Ranges, minLen int) [][2]uint32 {
 	text := img.Text()
 	if text == nil {
 		return nil
 	}
 	var out [][2]uint32
-	runStart := uint32(0)
-	inRun := false
-	flush := func(end uint32) {
-		if inRun && int(end-runStart) >= minLen {
-			out = append(out, [2]uint32{runStart, end})
-		}
-		inRun = false
-	}
-	for a := text.Addr; a < text.End(); a++ {
-		if guard[a] {
-			flush(a)
-			continue
-		}
-		if !inRun {
-			runStart, inRun = a, true
+	for _, g := range guard.Gaps(text.Addr, text.End()) {
+		if int(g.Hi-g.Lo) >= minLen {
+			out = append(out, [2]uint32{g.Lo, g.Hi})
 		}
 	}
-	flush(text.End())
 	sort.SliceStable(out, func(i, j int) bool {
 		li, lj := out[i][1]-out[i][0], out[j][1]-out[j][0]
 		if li != lj {

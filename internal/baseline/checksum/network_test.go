@@ -36,14 +36,14 @@ func protectSmall(t *testing.T, checkers int) *core.Protected {
 // coldVictim picks a byte in the middle of a long unguarded text run.
 func coldVictim(t *testing.T, p *core.Protected) uint32 {
 	t.Helper()
-	guard := p.GuardedByteMap()
+	guard := p.Guard()
 	text := p.Image.Text()
 	for a := text.Addr; a < text.End(); a++ {
-		if guard[a] {
+		if guard.Contains(a) {
 			continue
 		}
 		run := uint32(0)
-		for b := a; b < text.End() && !guard[b]; b++ {
+		for b := a; b < text.End() && !guard.Contains(b); b++ {
 			run++
 		}
 		if run > 200 {
@@ -138,7 +138,7 @@ func TestComposedDeterministic(t *testing.T) {
 // length-sorted, and at least minLen long.
 func TestColdRegionsProperties(t *testing.T) {
 	plain := protectSmall(t, 0)
-	guard := plain.GuardedByteMap()
+	guard := plain.Guard()
 	const minLen = 16
 	regions := checksum.ColdRegions(plain.Image, guard, minLen)
 	if len(regions) == 0 {
@@ -157,7 +157,7 @@ func TestColdRegionsProperties(t *testing.T) {
 		}
 		prevLen = n
 		for a := r[0]; a < r[1]; a++ {
-			if guard[a] {
+			if guard.Contains(a) {
 				t.Fatalf("region [%#x,%#x) overlaps guarded byte %#x", r[0], r[1], a)
 			}
 			if seen[a] {
@@ -189,7 +189,7 @@ func TestInstallNetworkDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions := checksum.ColdRegions(comp.Image, comp.GuardedByteMap(), 16)
+	regions := checksum.ColdRegions(comp.Image, comp.Guard(), 16)
 	if len(regions) <= 2 {
 		t.Fatalf("want more than 2 regions to force drops, got %d", len(regions))
 	}

@@ -114,10 +114,8 @@ type Config struct {
 
 	// rec is the clean run's recording on the production path: the fork
 	// points mutants resume from and the first-touch map that picks one
-	// (see fork.go). Run sets it from its reference run; executeAll
-	// records one when its caller ran the clean reference itself. A
-	// recording without fork points replays every mutant from the entry
-	// point.
+	// (see fork.go). Run sets it from its reference run. A recording
+	// without fork points replays every mutant from the entry point.
 	rec *emu.Recording
 }
 
@@ -263,7 +261,8 @@ func Run(ctx context.Context, prot *core.Protected, cfg Config) (*Report, error)
 // per-mutant classification vector plus the recovered-panic count. It
 // is the campaign's execution core, split out so differential tests can
 // compare the two execution paths mutant by mutant. cfg must already
-// have defaults applied.
+// have defaults applied and, on the production path, carry the clean
+// run's recording (Run sets cfg.rec from its reference run).
 //
 // jn and done (both optional) carry the checkpoint state: cells in
 // done are restored without executing, and every freshly finished cell
@@ -283,12 +282,7 @@ func executeAll(ctx context.Context, prot *core.Protected, mutants []Mutant,
 			break
 		}
 	}
-	guard := guardedBytes(prot)
-	if !cfg.Reload && cfg.rec == nil {
-		rcfg := cfg
-		rcfg.Obs = nil // the caller's own clean run was the accounted one
-		_, cfg.rec = reference(ctx, prot.Image, rcfg)
-	}
+	guard := prot.Guard()
 
 	classes := make([]Class, len(mutants))
 	for i, c := range done {
@@ -422,7 +416,7 @@ func recordOutcomes(reg *obs.Registry, rep *Report, classes []Class) {
 // production path when their layout allows, and a nil engine falls
 // back to clone+reload on the path's engine.
 func runOne(ctx context.Context, base *image.Image, stream []byte,
-	guard map[uint32]bool, idx int, m Mutant, clean attack.RunResult,
+	guard image.Ranges, idx int, m Mutant, clean attack.RunResult,
 	cfg Config, eng *vmEngine, panics *uint64) (cls Class) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -544,7 +538,7 @@ func runOne(ctx context.Context, base *image.Image, stream []byte,
 }
 
 // classify maps one mutant run outcome onto the matrix classes.
-func classify(m Mutant, res, clean attack.RunResult, guard map[uint32]bool) Class {
+func classify(m Mutant, res, clean attack.RunResult, guard image.Ranges) Class {
 	var de *emu.DeadlineError
 	switch {
 	case chaos.IsInjected(res.Err):
@@ -571,7 +565,7 @@ func classify(m Mutant, res, clean attack.RunResult, guard map[uint32]bool) Clas
 		// mutation hit guarded bytes (the canonical Parallax detection:
 		// a broken gadget derails the chain) or when the final EIP is
 		// itself inside chain-guarded territory.
-		if m.Guarded || guard[res.EIP] {
+		if m.Guarded || guard.Contains(res.EIP) {
 			return ClassChain
 		}
 		return ClassCrash

@@ -51,6 +51,7 @@ func TestChaosCampaignGraceful(t *testing.T) {
 	if clean.Err != nil {
 		t.Fatalf("clean run: %v", clean.Err)
 	}
+	_, cfg.rec = reference(context.Background(), prot.Image, cfg)
 	mutants, err := Enumerate(prot, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func assertMatchesReference(t *testing.T, prot *core.Protected, mutants []Mutant
 	if len(modes) == 0 {
 		modes = []catalogMode{sharedCatalog}
 	}
-	cfg.Engine, cfg.cat, cfg.rec = "", nil, nil
+	cfg.Engine, cfg.cat, cfg.rec, cfg.Obs = "", nil, nil, nil
 	clean := attack.RunWith(context.Background(), prot.Image, attack.RunConfig{
 		Stdin: cfg.Stdin, MaxInst: cfg.MaxInst,
 		MemBudget: cfg.MemBudget, StackSize: cfg.StackSize,
@@ -101,6 +101,7 @@ func assertMatchesReference(t *testing.T, prot *core.Protected, mutants []Mutant
 			name = "production path (private caches)"
 			prod.cat = nil
 		}
+		_, prod.rec = reference(context.Background(), prot.Image, prod)
 		got := run(name, prod)
 		diverged := 0
 		for i := range mutants {

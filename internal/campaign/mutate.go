@@ -3,8 +3,8 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"strings"
 
+	"parallax/internal/chain"
 	"parallax/internal/core"
 	"parallax/internal/emu"
 	"parallax/internal/image"
@@ -165,13 +165,6 @@ func (m Mutant) corruptSerial(stream []byte) []byte {
 	return out
 }
 
-// guardedBytes collects every address whose modification should derail
-// a verification chain: bytes inside chain-used gadgets, plus the
-// parallax chain/frame/table data blocks ("..parallax." symbols).
-func guardedBytes(prot *core.Protected) map[uint32]bool {
-	return prot.GuardedByteMap()
-}
-
 // regionOf names the symbol (preferred) or section containing addr.
 func regionOf(img *image.Image, addr uint32) string {
 	if s, ok := img.SymbolAt(addr); ok {
@@ -193,18 +186,9 @@ func Enumerate(prot *core.Protected, cfg Config) ([]Mutant, error) {
 	for _, k := range cfg.Kinds {
 		enabled[k] = true
 	}
-	guard := guardedBytes(prot)
+	guard := prot.Guard()
 	img := prot.Image
 	var out []Mutant
-
-	guardedAny := func(addr uint32, n int) bool {
-		for i := uint32(0); i < uint32(n); i++ {
-			if guard[addr+i] {
-				return true
-			}
-		}
-		return false
-	}
 
 	// In-memory sweeps over initialized bytes of executable sections.
 	for _, sec := range img.Sections {
@@ -216,11 +200,11 @@ func Enumerate(prot *core.Protected, cfg Config) ([]Mutant, error) {
 			region := regionOf(img, addr)
 			if enabled[KindBitFlip] {
 				out = append(out, Mutant{Kind: KindBitFlip, Region: region, Addr: addr,
-					Len: 1, Bit: uint8(off % 8), Guarded: guardedAny(addr, 1)})
+					Len: 1, Bit: uint8(off % 8), Guarded: guard.Contains(addr)})
 			}
 			if enabled[KindByteSet] {
 				out = append(out, Mutant{Kind: KindByteSet, Region: region, Addr: addr,
-					Len: 1, Guarded: guardedAny(addr, 1)})
+					Len: 1, Guarded: guard.Contains(addr)})
 			}
 			if enabled[KindNopSweep] {
 				n := 4
@@ -228,7 +212,7 @@ func Enumerate(prot *core.Protected, cfg Config) ([]Mutant, error) {
 					n = rem
 				}
 				out = append(out, Mutant{Kind: KindNopSweep, Region: region, Addr: addr,
-					Len: n, Guarded: guardedAny(addr, n)})
+					Len: n, Guarded: guard.Overlaps(addr, uint32(n))})
 			}
 		}
 	}
@@ -236,7 +220,7 @@ func Enumerate(prot *core.Protected, cfg Config) ([]Mutant, error) {
 	// Parallax data blocks (chain words, frames, tables): bit flips and
 	// byte sets only — NOPs are meaningless in data.
 	for _, sym := range img.Symbols {
-		if !strings.HasPrefix(sym.Name, "..parallax.") || sym.Kind != image.SymObject {
+		if !chain.Owns(sym.Name) || sym.Kind != image.SymObject {
 			continue
 		}
 		sec := img.SectionAt(sym.Addr)

@@ -2,18 +2,25 @@ package chain
 
 import (
 	"fmt"
+	"strings"
 
 	"parallax/internal/image"
 	"parallax/internal/x86"
 )
 
-// Symbol naming for per-function chain artifacts.
+// symPrefix starts the name of every symbol a protection adds: the
+// pool, the chain and frame data here, and the dynamic-generation and
+// chain-checksum stubs and tables of internal/dyngen.
+const symPrefix = "..parallax."
+
+// Owns reports whether name is one of the symbols a protection adds.
+func Owns(name string) bool { return strings.HasPrefix(name, symPrefix) }
 
 // ChainSym returns the data symbol holding fn's compiled chain words.
-func ChainSym(fn string) string { return "..parallax.chain." + fn }
+func ChainSym(fn string) string { return symPrefix + "chain." + fn }
 
 // FrameSym returns the data symbol holding fn's chain scratch frame.
-func FrameSym(fn string) string { return "..parallax.frame." + fn }
+func FrameSym(fn string) string { return symPrefix + "frame." + fn }
 
 // LoaderConfig describes the loader stub for one verification
 // function.

@@ -11,7 +11,7 @@ import (
 
 // PoolFuncName names the fallback gadget pool function inserted into
 // protected binaries.
-const PoolFuncName = "..parallax.pool"
+const PoolFuncName = symPrefix + "pool"
 
 // poolGadgets is the canonical gadget basis the ROP compiler relies
 // on. Each entry is an independent byte sequence ending in ret; the

@@ -60,7 +60,6 @@ func Build(m *ir.Module) (*image.Image, error) {
 }
 
 type funcGen struct {
-	f     *ir.Func
 	items []image.Item
 }
 
@@ -98,7 +97,7 @@ func compileFunc(f *ir.Func) (*image.Func, error) {
 	for _, b := range f.Blocks {
 		n += 3 * (len(b.Insts) + 1)
 	}
-	g := &funcGen{f: f, items: make([]image.Item, 0, n)}
+	g := &funcGen{items: make([]image.Item, 0, n)}
 
 	// Prologue.
 	g.emit(x86.Inst{Op: x86.PUSH, W: 32, Dst: x86.RegOp(x86.EBP)})

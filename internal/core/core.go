@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"parallax/internal/baseline/checksum"
 	"parallax/internal/chain"
@@ -356,7 +355,7 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 		// in .data, leaving the hashed text untouched.
 		var composeErr error
 		opts.Obs.Stage("compose", func() {
-			regions := checksum.ColdRegions(img, p.GuardedByteMap(), 0)
+			regions := checksum.ColdRegions(img, p.Guard(), 0)
 			p.Checksum, composeErr = checksum.InstallNetwork(img,
 				checksum.Network{Checkers: opts.ComposeChecksum}, regions)
 		})
@@ -367,64 +366,62 @@ func Protect(m *ir.Module, opts Options) (*Protected, error) {
 	return p, nil
 }
 
-// GuardedByteMap returns the address set whose modification derails a
-// verification chain: the chains' gadget spans plus the serialized
-// `..parallax.*` chain data. It is the campaign engine's guarded-site
-// predicate and the complement of what ComposeChecksum covers.
-func (p *Protected) GuardedByteMap() map[uint32]bool {
-	g := make(map[uint32]bool)
+// gadgetSpans lists the byte spans of the gadgets the chains execute.
+func (p *Protected) gadgetSpans() []image.Span {
+	var spans []image.Span
 	for _, ch := range p.Chains {
-		for _, gd := range ch.Gadgets() {
-			lo, hi := gd.Range()
-			for a := lo; a < hi; a++ {
-				g[a] = true
-			}
+		for _, g := range ch.Gadgets() {
+			lo, hi := g.Range()
+			spans = append(spans, image.Span{Lo: lo, Hi: hi})
 		}
 	}
-	for _, s := range p.Image.Symbols {
-		if strings.HasPrefix(s.Name, "..parallax.") {
-			for a := s.Addr; a < s.Addr+s.Size; a++ {
-				g[a] = true
-			}
-		}
-	}
-	return g
+	return spans
 }
 
-// preferOverlap marks gadgets inside application code (anything except
-// the fallback pool and loader stubs) — the gadgets whose integrity
-// actually protects the program.
+// ChainGadgets returns the address set of the gadgets the chains
+// execute.
+func (p *Protected) ChainGadgets() image.Ranges { return image.MergeSpans(p.gadgetSpans()) }
+
+// Guard returns the address set whose modification derails a
+// verification chain: the chains' gadget spans plus every symbol the
+// protection added (chain.Owns), the serialized chain data among them.
+// It is the campaign engine's guarded-site predicate and the
+// complement of what ComposeChecksum covers.
+func (p *Protected) Guard() image.Ranges {
+	spans := p.gadgetSpans()
+	for _, s := range p.Image.Symbols {
+		if chain.Owns(s.Name) {
+			spans = append(spans, image.Span{Lo: s.Addr, Hi: s.Addr + s.Size})
+		}
+	}
+	return image.MergeSpans(spans)
+}
+
+// appFunc reports whether s is application code: a function neither
+// toolchain-internal (pool, stubs) nor a verification function, whose
+// body is a loader stub.
+func appFunc(s image.Symbol, verify []string) bool {
+	return s.Kind == image.SymFunc && !image.Internal(s.Name) && !slices.Contains(verify, s.Name)
+}
+
+// appCode returns the address set of the application's functions.
+func appCode(img *image.Image, verify []string) image.Ranges {
+	var spans []image.Span
+	for _, s := range img.Symbols {
+		if appFunc(s, verify) {
+			spans = append(spans, image.Span{Lo: s.Addr, Hi: s.Addr + s.Size})
+		}
+	}
+	return image.MergeSpans(spans)
+}
+
+// preferOverlap marks gadgets inside application code — the gadgets
+// whose integrity actually protects the program. The predicate runs
+// per candidate gadget per chain instruction, so it binary-searches
+// the merged application spans.
 func preferOverlap(img *image.Image, verify []string) func(*gadget.Gadget) bool {
-	type span struct{ lo, hi uint32 }
-	verifySet := make(map[string]bool, len(verify))
-	for _, v := range verify {
-		verifySet[v] = true
-	}
-	var spans []span
-	for _, s := range img.Funcs() {
-		if len(s.Name) >= 2 && s.Name[:2] == ".." {
-			continue // pool and internal stubs
-		}
-		if verifySet[s.Name] {
-			continue // loader stub, not application code
-		}
-		spans = append(spans, span{s.Addr, s.Addr + s.Size})
-	}
-	// The predicate runs per candidate gadget per chain instruction, so
-	// merge the spans (Funcs sorts them by address) into disjoint
-	// ranges once and binary-search them.
-	merged := spans[:0]
-	for _, sp := range spans {
-		if n := len(merged); n > 0 && sp.lo <= merged[n-1].hi {
-			merged[n-1].hi = max(merged[n-1].hi, sp.hi)
-		} else {
-			merged = append(merged, sp)
-		}
-	}
-	return func(g *gadget.Gadget) bool {
-		i := sort.Search(len(merged), func(i int) bool { return merged[i].hi > g.Addr })
-		return i < len(merged) && merged[i].lo <= g.Addr
-	}
+	app := appCode(img, verify)
+	return func(g *gadget.Gadget) bool { return app.Contains(g.Addr) }
 }
 
 // rewriteImmediates applies the §IV-B2 rule to the compiled object:
@@ -576,39 +573,25 @@ func (s ProtectedByteStats) Percent() float64 {
 
 // ProtectedBytes computes the coverage statistics of this protection.
 func (p *Protected) ProtectedBytes() ProtectedByteStats {
-	verifySet := make(map[string]bool, len(p.VerifyFuncs))
-	for _, v := range p.VerifyFuncs {
-		verifySet[v] = true
-	}
-	type span struct{ lo, hi uint32 }
-	var spans []span
+	gadgets := p.ChainGadgets()
 	var stats ProtectedByteStats
-	for _, s := range p.Image.Funcs() {
-		if len(s.Name) >= 2 && s.Name[:2] == ".." || verifySet[s.Name] {
+	for _, s := range p.Image.Symbols {
+		if !appFunc(s, p.VerifyFuncs) {
 			continue
 		}
-		spans = append(spans, span{s.Addr, s.Addr + s.Size})
 		stats.AppBytes += int(s.Size)
 		stats.TotalFuncs++
-	}
-	guardedFuncs := make(map[int]bool)
-	counted := make(map[uint32]bool)
-	for _, ch := range p.Chains {
-		for _, g := range ch.Gadgets() {
-			lo, hi := g.Range()
-			for a := lo; a < hi; a++ {
-				for i, sp := range spans {
-					if a >= sp.lo && a < sp.hi {
-						if !counted[a] {
-							counted[a] = true
-							stats.GuardedBytes++
-						}
-						guardedFuncs[i] = true
-					}
-				}
-			}
+		if gadgets.Overlaps(s.Addr, s.Size) {
+			stats.GuardedFuncs++
 		}
 	}
-	stats.GuardedFuncs = len(guardedFuncs)
+	// Application functions may nest, so count guarded bytes over their
+	// merged spans: each span less the gadget-free gaps inside it.
+	for _, sp := range appCode(p.Image, p.VerifyFuncs) {
+		stats.GuardedBytes += int(sp.Hi - sp.Lo)
+		for _, g := range gadgets.Gaps(sp.Lo, sp.Hi) {
+			stats.GuardedBytes -= int(g.Hi - g.Lo)
+		}
+	}
 	return stats
 }

@@ -2,8 +2,10 @@ package gen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"parallax/internal/chain"
 	"parallax/internal/core"
 	"parallax/internal/image"
 )
@@ -22,7 +24,7 @@ import (
 //     dword actually resolves to its symbol (abs32) or encodes the
 //     correct displacement (rel32);
 //   - protected images carry at least one chain whose gadgets all
-//     live in executable text, and a non-empty guarded byte set.
+//     live in executable text, and ..parallax.* symbols.
 
 // CheckImage verifies the region-map invariants of a linked image.
 func CheckImage(img *image.Image) error {
@@ -97,8 +99,8 @@ func CheckImage(img *image.Image) error {
 
 // CheckProtected verifies the protected-image invariants on top of
 // CheckImage: chains exist, every chain-used gadget lies inside
-// executable text, and the guarded byte set (gadget spans plus
-// ..parallax.* data) is non-empty — the denominators the campaign's
+// executable text, and the image carries ..parallax.* symbols — the
+// two halves of the guard set (core.Protected.Guard) the campaign's
 // detection matrix is built on.
 func CheckProtected(prot *core.Protected) error {
 	if prot == nil || prot.Image == nil {
@@ -110,7 +112,6 @@ func CheckProtected(prot *core.Protected) error {
 	if len(prot.Chains) == 0 {
 		return fmt.Errorf("gen: protected image has no chains")
 	}
-	guarded := 0
 	for name, ch := range prot.Chains {
 		gs := ch.Gadgets()
 		if len(gs) == 0 {
@@ -130,21 +131,10 @@ func CheckProtected(prot *core.Protected) error {
 				return fmt.Errorf("gen: chain %s gadget [%#x,%#x) spills out of %s",
 					name, lo, hi, sec.Name)
 			}
-			guarded += int(hi - lo)
 		}
 	}
-	parallaxSyms := 0
-	for _, sym := range prot.Image.Symbols {
-		if strings.HasPrefix(sym.Name, "..parallax.") {
-			parallaxSyms++
-			guarded += int(sym.Size)
-		}
-	}
-	if parallaxSyms == 0 {
+	if !slices.ContainsFunc(prot.Image.Symbols, func(s image.Symbol) bool { return chain.Owns(s.Name) }) {
 		return fmt.Errorf("gen: no ..parallax.* data symbols in protected image")
-	}
-	if guarded == 0 {
-		return fmt.Errorf("gen: guarded byte set is empty")
 	}
 	return nil
 }

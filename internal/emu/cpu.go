@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -265,22 +266,8 @@ func (c *CPU) Step() error {
 }
 
 // Run executes until the program exits, faults, or hits the instruction
-// budget. Use RunContext to add a cancellation/deadline watchdog.
-func (c *CPU) Run() error {
-	limit := c.MaxInst
-	if limit == 0 {
-		limit = DefaultMaxInst
-	}
-	for !c.Exited {
-		if c.Icount >= limit {
-			return fmt.Errorf("%w (%d instructions, eip=%#x)", ErrInstLimit, c.Icount, c.EIP)
-		}
-		if err := c.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// budget: RunContext without a deadline.
+func (c *CPU) Run() error { return c.RunContext(context.Background()) }
 
 // RunImage is a convenience wrapper: load, run, and return the CPU for
 // inspection. The error (if any) accompanies the partially-run CPU.

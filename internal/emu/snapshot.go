@@ -14,8 +14,6 @@ import "parallax/internal/x86"
 // Map after Snapshot leaves the new segment untracked and unrestored.
 // Taking a new Snapshot supersedes any previous one for the same CPU.
 type Snapshot struct {
-	cpu *CPU
-
 	reg    [x86.NumRegs]uint32
 	eip    uint32
 	flags  uint32
@@ -47,7 +45,6 @@ type RestoreStats struct {
 // armed overlay as it finds it.
 func (c *CPU) Snapshot() *Snapshot {
 	s := &Snapshot{
-		cpu:    c,
 		reg:    c.Reg,
 		eip:    c.EIP,
 		flags:  c.Flags(),

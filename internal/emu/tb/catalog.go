@@ -134,14 +134,3 @@ func (t *Catalog) install(entry uint32, code []byte, ops []uop) bool {
 	t.entries[entry] = out
 	return true
 }
-
-// Blocks returns how many entry addresses the catalog holds — a
-// coarse size probe for tests and reports.
-func (t *Catalog) Blocks() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
-}

@@ -28,9 +28,6 @@ func TestCatalogSharedAcrossEngines(t *testing.T) {
 	if got := reg1.Counter("emu.tb.catalog_installs").Value(); got == 0 {
 		t.Fatal("first engine published nothing to the catalog")
 	}
-	if cat.Blocks() == 0 {
-		t.Fatal("catalog empty after a publishing run")
-	}
 
 	// The first run patches its own code mid-run, so its end state holds
 	// both clean and patched variants — the fresh CPU below must adopt
@@ -143,9 +140,6 @@ func TestCatalogOverlaySkipsBothDirections(t *testing.T) {
 		if got := reg.Counter(name).Value(); got != 0 {
 			t.Fatalf("%s = %d with overlay armed, want 0 (catalog must be skipped)", name, got)
 		}
-	}
-	if cat.Blocks() != 0 {
-		t.Fatalf("catalog holds %d entries published under an overlay", cat.Blocks())
 	}
 
 	// A clean CPU must not be able to adopt overlay-tainted variants —

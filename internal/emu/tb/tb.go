@@ -38,10 +38,9 @@ import (
 )
 
 // block is one translated basic block: the micro-ops for a straight
-// run of instructions starting at entry, ending at the first control
+// run of instructions starting at lo, ending at the first control
 // transfer (or the op cap, or the first undecodable byte).
 type block struct {
-	entry  uint32
 	end    uint32 // address after the last instruction (jcc fallthrough)
 	lo, hi uint32 // code byte range covered; invalidation keys on it
 	ops    []uop
@@ -151,9 +150,6 @@ func (e *Engine) Close() {
 	e.blocks = make(map[uint32]*block)
 	e.curB = nil
 }
-
-// CPU returns the CPU the engine drives.
-func (e *Engine) CPU() *emu.CPU { return e.cpu }
 
 // invalidate is the Memory.OnCodeInvalidate hook: executable bytes in
 // [lo, hi) changed, so every translation overlapping the range dies.

@@ -156,13 +156,13 @@ func (e *Engine) translate(entry uint32) (*block, error) {
 	if shared {
 		if ops, end := e.cat.adopt(c.Mem, entry); ops != nil {
 			e.mCatHits.Inc()
-			b := &block{entry: entry, end: end, lo: entry, hi: end, ops: ops}
+			b := &block{end: end, lo: entry, hi: end, ops: ops}
 			e.blocks[entry] = b
 			return b, nil
 		}
 		e.mCatMisses.Inc()
 	}
-	b := &block{entry: entry}
+	b := &block{}
 	pc := entry
 	for len(b.ops) < maxBlockOps {
 		inst, err := c.DecodeAt(pc)

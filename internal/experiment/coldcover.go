@@ -43,8 +43,6 @@ type ColdCoverOptions struct {
 	Checkers int
 	// Mutants caps each of the four campaigns (0 = 96).
 	Mutants int
-	// Workers is the per-campaign worker count (0 = GOMAXPROCS).
-	Workers int
 	// CrossEvery re-runs every k-th program's heavy/composed campaign
 	// on the reference path and hard-fails on matrix divergence
 	// (0 = 4; negative disables).
@@ -158,9 +156,7 @@ type ColdCoverReport struct {
 // instructions per covered text byte), so budget trips never masquerade
 // as timeouts in the matrix.
 func coldCampaignConfig(opts ColdCoverOptions, textBytes, codeKiB int) campaign.Config {
-	cfg := corpusCampaignConfig(CorpusOptions{
-		Workers: opts.Workers, Mutants: opts.Mutants,
-	}, textBytes, codeKiB)
+	cfg := corpusCampaignConfig(CorpusOptions{Mutants: opts.Mutants}, textBytes, codeKiB)
 	cfg.MaxInst = 4_000_000 + 8*uint64(textBytes)
 	cfg.Timeout = 30 * time.Second
 	return cfg

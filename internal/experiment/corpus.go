@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"time"
 
+	"parallax/internal/baseline/checksum"
 	"parallax/internal/campaign"
+	"parallax/internal/chain"
 	"parallax/internal/codegen"
 	"parallax/internal/core"
 	"parallax/internal/corpus/gen"
@@ -237,9 +238,9 @@ func regionRates(rep *campaign.Report, info gen.Info) (hot, cold, data float64) 
 		switch {
 		case r.Region == "(serialized)":
 			// Serial corruption hits the container, not a region class.
-		case strings.HasPrefix(r.Region, "..parallax."):
+		case chain.Owns(r.Region):
 			acc(&d, r)
-		case strings.HasPrefix(r.Region, "..cs."):
+		case checksum.Owns(r.Region):
 			// Composed checksum-network checkers execute on every run
 			// (entry wrapper), so they are hot code, not cold.
 			acc(&h, r)
@@ -431,11 +432,12 @@ type CorpusEngineRow struct {
 	MatrixEqual         bool    `json:"matrix_equal"`
 }
 
-// CorpusEngines re-runs the path table on generated images at the
-// sizes where snapshot/restore, fork points and translation caching
-// actually have something to amortize. Empty families means
+// CorpusEngines re-runs the path table on the seed-1 generated images
+// at the sizes where snapshot/restore, fork points and translation
+// caching actually have something to amortize. Empty families means
 // small/medium/huge — 160 KiB, 1.6 MiB, 4 MiB.
-func CorpusEngines(ctx context.Context, families []string, seed uint64, mutants, workers int) ([]CorpusEngineRow, error) {
+func CorpusEngines(ctx context.Context, families []string, mutants, workers int) ([]CorpusEngineRow, error) {
+	const seed = 1
 	if len(families) == 0 {
 		families = []string{"small", "medium", "huge"}
 	}

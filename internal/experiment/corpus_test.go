@@ -126,7 +126,7 @@ func TestCorpusEnginesTiny(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("two campaigns; skipped under -short or the race detector")
 	}
-	rows, err := CorpusEngines(context.Background(), []string{"tiny"}, 1, 8, 2)
+	rows, err := CorpusEngines(context.Background(), []string{"tiny"}, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,37 +233,6 @@ func (c *Catalog) Find(k Kind, dst, src x86.Reg) []*Gadget {
 	return out
 }
 
-// CoveredBytes returns the union size of all gadget byte ranges within
-// [lo, hi), plus a bitmap of covered offsets relative to lo.
-func (c *Catalog) CoveredBytes(lo, hi uint32) (int, []bool) {
-	if hi <= lo {
-		return 0, nil
-	}
-	cover := make([]bool, hi-lo)
-	for _, g := range c.Gadgets {
-		s, e := g.Range()
-		if e <= lo || s >= hi {
-			continue
-		}
-		if s < lo {
-			s = lo
-		}
-		if e > hi {
-			e = hi
-		}
-		for i := s; i < e; i++ {
-			cover[i-lo] = true
-		}
-	}
-	n := 0
-	for _, v := range cover {
-		if v {
-			n++
-		}
-	}
-	return n, cover
-}
-
 // Sort orders gadgets by address.
 func (c *Catalog) Sort() {
 	sort.Slice(c.Gadgets, func(i, j int) bool { return c.Gadgets[i].Addr < c.Gadgets[j].Addr })

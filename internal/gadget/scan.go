@@ -161,7 +161,6 @@ func (b bitset) next(i int) int {
 // successor's entry. The table covers [lo, min(hi+maxBytes, len(code)))
 // for a span [lo, hi), filled right to left.
 type reachTable struct {
-	lo    int
 	lens  []uint8 // instruction length at lo+i; 0 for a decode error
 	reach []reach
 }
@@ -176,7 +175,7 @@ type reach struct{ n, b uint32 }
 // newReachTable decodes the offsets of span d.
 func newReachTable(code []byte, base uint32, d span) *reachTable {
 	end := min(d.hi+maxBytes, len(code))
-	t := &reachTable{lo: d.lo, lens: make([]uint8, end-d.lo), reach: make([]reach, end-d.lo)}
+	t := &reachTable{lens: make([]uint8, end-d.lo), reach: make([]reach, end-d.lo)}
 	for p := end - 1; p >= d.lo; p-- {
 		i := p - d.lo
 		inst, ok := x86.TryDecode(code[p:], base+uint32(p))

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Perm is a section permission bitmask.
@@ -71,6 +72,12 @@ type Symbol struct {
 	Size uint32
 	Kind SymKind
 }
+
+// Internal reports whether name is a toolchain-internal symbol: one
+// the protection and baseline passes add (pool, loader stubs, chain
+// data, checkers), never the application's own code or data. Every
+// such name starts with "..".
+func Internal(name string) bool { return strings.HasPrefix(name, "..") }
 
 // RelocKind is the patch flavor of a relocation site.
 type RelocKind uint8

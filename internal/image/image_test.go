@@ -311,16 +311,3 @@ func TestSerializationRoundTrip(t *testing.T) {
 		t.Error("ReadFrom accepted junk")
 	}
 }
-
-func TestObjectClone(t *testing.T) {
-	_, obj := linkSimple(t)
-	clone := obj.Clone()
-	clone.Funcs[0].Items[0].Label = "mutated"
-	clone.Data[0].Bytes[0] = 0xFF
-	if obj.Funcs[0].Items[0].Label == "mutated" {
-		t.Error("function mutation leaked")
-	}
-	if obj.Data[0].Bytes[0] == 0xFF {
-		t.Error("data mutation leaked")
-	}
-}

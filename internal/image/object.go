@@ -120,28 +120,3 @@ func (o *Object) AddData(d *DataSym) error {
 	o.Data = append(o.Data, d)
 	return nil
 }
-
-// Clone returns a deep copy of the object, so rewriting passes can
-// mutate freely.
-func (o *Object) Clone() *Object {
-	out := &Object{Entry: o.Entry}
-	out.Funcs = make([]*Func, len(o.Funcs))
-	for i, f := range o.Funcs {
-		nf := *f
-		nf.Items = make([]Item, len(f.Items))
-		for j, it := range f.Items {
-			nit := it
-			nit.Raw = append([]byte(nil), it.Raw...)
-			nf.Items[j] = nit
-		}
-		out.Funcs[i] = &nf
-	}
-	out.Data = make([]*DataSym, len(o.Data))
-	for i, d := range o.Data {
-		nd := *d
-		nd.Bytes = append([]byte(nil), d.Bytes...)
-		nd.Words = append([]WordRef(nil), d.Words...)
-		out.Data[i] = &nd
-	}
-	return out
-}

@@ -31,7 +31,7 @@ func FreeStatusImmediates(obj *image.Object, funcs []string) (*SplitResult, erro
 	res := &SplitResult{PerFunc: make(map[string]int)}
 	patIdx := 0
 	for _, fn := range obj.Funcs {
-		if len(fn.Name) >= 2 && fn.Name[:2] == ".." {
+		if image.Internal(fn.Name) {
 			continue
 		}
 		if len(want) > 0 && !want[fn.Name] {

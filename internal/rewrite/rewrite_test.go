@@ -97,7 +97,7 @@ func TestSplitPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := image.Link(obj.Clone())
+	before, err := codegen.Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSpuriousInsertion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := image.Link(obj.Clone())
+	before, err := codegen.Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}

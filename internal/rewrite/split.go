@@ -65,7 +65,8 @@ type SplitResult struct {
 // saving the status register applies to arbitrary binaries).
 //
 // funcs selects the functions to rewrite; nil means all. Functions
-// whose names start with ".." (Parallax-internal stubs) are skipped.
+// that are toolchain-internal (image.Internal: Parallax stubs) are
+// skipped.
 func SplitImmediates(obj *image.Object, funcs []string) (*SplitResult, error) {
 	want := map[string]bool{}
 	for _, f := range funcs {
@@ -74,7 +75,7 @@ func SplitImmediates(obj *image.Object, funcs []string) (*SplitResult, error) {
 	res := &SplitResult{PerFunc: make(map[string]int)}
 	patIdx := 0
 	for _, fn := range obj.Funcs {
-		if len(fn.Name) >= 2 && fn.Name[:2] == ".." {
+		if image.Internal(fn.Name) {
 			continue
 		}
 		if len(want) > 0 && !want[fn.Name] {

@@ -117,18 +117,6 @@ func (b *Builder) emitFixup32(label string, kind fixupKind, add int32) {
 	b.Raw(0, 0, 0, 0)
 }
 
-// Align pads with the fill byte until the current address is a multiple
-// of n (which must be a power of two).
-func (b *Builder) Align(n uint32, fill byte) {
-	if n == 0 || n&(n-1) != 0 {
-		b.fail(fmt.Errorf("x86: alignment %d is not a power of two", n))
-		return
-	}
-	for b.Here()%n != 0 {
-		b.Raw(fill)
-	}
-}
-
 // Finish resolves all fixups and returns the assembled bytes.
 func (b *Builder) Finish() ([]byte, error) {
 	if b.err != nil {

@@ -352,33 +352,25 @@ func TestBuilderErrors(t *testing.T) {
 			t.Error("Finish succeeded after bad instruction")
 		}
 	})
-	t.Run("bad alignment", func(t *testing.T) {
-		b := NewBuilder(0)
-		b.Align(3, 0x90)
-		if _, err := b.Finish(); err == nil {
-			t.Error("Finish succeeded with non-power-of-two alignment")
-		}
-	})
 }
 
-func TestBuilderAlignAndAbs(t *testing.T) {
+func TestBuilderAbsLabel(t *testing.T) {
 	b := NewBuilder(0x400000)
 	b.I(Inst{Op: NOP, W: 32})
-	b.Align(16, 0xCC)
 	b.Label("data")
 	b.MovRegLabel(EAX, "data", 8)
 	code, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(code) < 21 {
+	if len(code) != 6 {
 		t.Fatalf("unexpected code size %d", len(code))
 	}
 	dataAddr, _ := b.LabelAddr("data")
-	if dataAddr%16 != 0 {
-		t.Errorf("label not aligned: %#x", dataAddr)
+	if dataAddr != 0x400001 {
+		t.Errorf("label at %#x, want 0x400001", dataAddr)
 	}
-	inst, err := Decode(code[16:], dataAddr)
+	inst, err := Decode(code[1:], dataAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
